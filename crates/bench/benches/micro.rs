@@ -4,7 +4,7 @@
 //! primitive.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parcolor_core::framework::{NormalProcedure, SimScratch};
+use parcolor_core::framework::NormalProcedure;
 use parcolor_core::hknt::acd::compute_acd;
 use parcolor_core::hknt::procs::{SspMode, StageSet, TryRandomColor};
 use parcolor_core::instance::ColoringState;
@@ -13,7 +13,7 @@ use parcolor_core::reduce::low_space_partition;
 use parcolor_core::{D1lcInstance, NodeId, Params};
 use parcolor_graphgen::gnm;
 use parcolor_mpc::{Cluster, MpcConfig};
-use parcolor_prg::{select_seed, select_seed_with, ChunkAssignment, Prg, PrgTape, SeedStrategy};
+use parcolor_prg::{select_seed, ChunkAssignment, Prg, PrgTape, SeedStrategy};
 use std::hint::black_box;
 
 fn bench_seed_search(c: &mut Criterion) {
@@ -38,30 +38,6 @@ fn bench_seed_search(c: &mut Criterion) {
                 black_box(select_seed(bits, SeedStrategy::Exhaustive, cost))
             })
         });
-    }
-    // Fast path: scratch-buffer simulation + pick caching + seed-parallel
-    // fold (select_seed_with).  Same workload, same strategies — the gap
-    // against the rows above is the PR's headline number.
-    for bits in [4u32, 6, 8, 12] {
-        let prg = Prg::new(bits);
-        for (label, strategy) in [
-            ("exhaustive_fast", SeedStrategy::Exhaustive),
-            ("bitwise_stream_fast", SeedStrategy::BitwiseCondExp),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, bits), &bits, |b, &bits| {
-                b.iter(|| {
-                    black_box(select_seed_with(
-                        bits,
-                        strategy,
-                        || SimScratch::new(n),
-                        |seed, scratch| {
-                            let tape = PrgTape::new(prg, seed, &chunks);
-                            proc.seed_cost_fused(&state, &tape, scratch)
-                        },
-                    ))
-                })
-            });
-        }
     }
     group.finish();
 }

@@ -22,9 +22,8 @@
 //!
 //! `--workers` runs the whole pipeline — seed search, striped round
 //! simulation, and the parallel reduces — on W executor workers (0 =
-//! auto: `PARCOLOR_THREADS`, or the deprecated `PARCOLOR_SEED_THREADS`
-//! alias, else all hardware threads); the chosen seeds — and hence the
-//! coloring — are identical at every worker count.
+//! auto: `PARCOLOR_THREADS`, else all hardware threads); the chosen
+//! seeds — and hence the coloring — are identical at every worker count.
 //!
 //! `--simd` forces a SIMD kernel path (default auto: the
 //! `PARCOLOR_SIMD` env var, else runtime CPU detection picks the best of
@@ -156,8 +155,6 @@ fn cmd_solve(args: &[String]) {
         Some(key) => Solver::randomized(params, key).solve(&inst),
         None => Solver::deterministic(params).solve(&inst),
     };
-    inst.verify_coloring(&sol.colors)
-        .expect("internal: invalid");
     report_solution(&inst, &sol);
     emit_coloring(opts.out.as_deref(), &sol.colors);
 }
@@ -213,8 +210,6 @@ fn cmd_coordinator(args: &[String]) {
     let sol = Solver::deterministic(params)
         .with_seed_searcher(coordinator.clone())
         .solve(&inst);
-    inst.verify_coloring(&sol.colors)
-        .expect("internal: invalid");
     let stats = coordinator.stats();
     let had_standby = coordinator.connected_standbys() > 0;
     if had_standby {
@@ -243,8 +238,6 @@ fn cmd_standby(opts: &parcolor_cli::args::CoordinatorOpts, primary: &str) {
         let sol = Solver::deterministic(params.with_workers(workers))
             .with_seed_searcher(searcher.clone())
             .solve(&inst);
-        inst.verify_coloring(&sol.colors)
-            .expect("internal: standby replica produced an invalid coloring");
         (inst, sol)
     });
     let ((inst, sol), standby) = outcome.unwrap_or_else(|e| {
@@ -272,11 +265,11 @@ fn cmd_worker(args: &[String]) {
             eprintln!("coordinator sent an undecodable job: {e}");
             exit(1)
         });
-        let sol = Solver::deterministic(params.with_workers(workers))
+        // The replica solve serves the coordinator's seed searches; its
+        // (already verified) coloring is not needed here.
+        Solver::deterministic(params.with_workers(workers))
             .with_seed_searcher(searcher.clone())
             .solve(&inst);
-        inst.verify_coloring(&sol.colors)
-            .expect("internal: replica produced an invalid coloring");
         let stats = searcher.stats();
         eprintln!(
             "worker replica done: n={} served_units={} result_frames={} reconnects={} adopted={} standalone={}",

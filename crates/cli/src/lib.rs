@@ -41,6 +41,12 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<Graph, String> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or(format!("line {}: bad n", lineno + 1))?;
+                if NodeId::try_from(nn).is_err() {
+                    return Err(format!(
+                        "line {}: n = {nn} exceeds the node-id range",
+                        lineno + 1
+                    ));
+                }
                 if n.replace(nn).is_some() {
                     return Err(format!("line {}: duplicate p line", lineno + 1));
                 }
@@ -178,6 +184,8 @@ mod tests {
     fn rejects_out_of_range() {
         assert!(parse_dimacs(Cursor::new("p edge 2 1\ne 1 5\n")).is_err());
         assert!(parse_dimacs(Cursor::new("p edge 2 1\ne 0 1\n")).is_err());
+        // n beyond the node-id range: rejected before any allocation.
+        assert!(parse_dimacs(Cursor::new("p edge 99999999999 1\n")).is_err());
     }
 
     #[test]

@@ -50,8 +50,7 @@ pub struct Params {
     /// Worker threads for every parallel surface of the pipeline — the
     /// sharded seed search, striped round simulation, and the
     /// executor-backed reduces (`0` = auto: the `PARCOLOR_THREADS` env
-    /// var if set, the deprecated `PARCOLOR_SEED_THREADS` alias
-    /// otherwise, else all hardware threads).  Any value yields
+    /// var if set, else all hardware threads).  Any value yields
     /// bit-identical results — all reduces are grouping-invariant and
     /// stripe splices are positional — so this is purely a throughput
     /// knob.
@@ -244,13 +243,6 @@ impl Params {
     pub fn with_simd(mut self, path: SimdPath) -> Self {
         self.simd = Some(path);
         self
-    }
-
-    /// Deprecated alias of [`Params::with_workers`], kept from when the
-    /// knob governed only the seed search.
-    #[deprecated(note = "use with_workers: the knob now governs every parallel surface")]
-    pub fn with_seed_workers(self, workers: usize) -> Self {
-        self.with_workers(workers)
     }
 
     /// Cap the mid-degree threshold (forces the partition recursion on

@@ -17,56 +17,54 @@
 //! machine — lives in `solver.rs`, because it needs D1LC's
 //! self-reducibility (`ColoringState::residual_instance`).
 //!
-//! ## The seed-search fast path and its cost model
+//! ## Three evaluation paths per procedure
 //!
-//! The derandomizer's hot loop evaluates the pessimistic estimator once
-//! per candidate seed — `2^seed_bits` full simulations per step.  Three
-//! structural decisions keep that loop at memory speed:
+//! Every [`NormalProcedure`] is evaluated through exactly three methods:
 //!
-//! 1. **Scratch-buffer simulation** ([`SimScratch`]).  Every procedure
-//!    implements [`NormalProcedure::simulate_into`], writing its outcome
-//!    into a reusable arena (epoch-stamped per-node caches, flat adoption
-//!    / aux buffers).  After one warm-up evaluation a seed evaluation
-//!    performs **zero heap allocation**.
-//! 2. **Per-seed pick caching.**  A node's random draw under a fixed seed
-//!    is the same no matter which neighbor asks, so `simulate_into`
-//!    computes each active node's pick **once** into the scratch
-//!    (`O(n_active)` tape reads) and resolves clashes with `O(m)` array
-//!    lookups — versus `O(Σ_v d(v))` tape reads for the naïve
-//!    re-evaluate-per-edge formulation of [`NormalProcedure::simulate`].
-//! 3. **Sharded seed-parallelism.**  `parcolor_prg::select_seed_blocks_n`
-//!    folds the seed space over scoped threads, one scratch per worker;
-//!    the per-seed simulation is sequential.  Workers steal `SEED_BLOCK`-
-//!    sized blocks off one shared atomic counter, and the fold merges
-//!    `(sum, min, argmin)` with a lowest-seed tie-break — grouping-
-//!    invariant for the integer SSP costs, so results are bit-identical
-//!    for any worker count and any steal order.
-//! 4. **Batched randomness plane** ([`PickPlane`]).  A procedure's random
-//!    draws are materialized for a whole stripe of active nodes in one
-//!    `Randomness::fill_*` call per stream — the tape's seed/stream mixer
-//!    rounds are hoisted once per stripe and the per-node rounds run in
-//!    explicit four-lane SIMD (`parcolor_local::simd::splitmix4`,
-//!    runtime-dispatched to the best of scalar/AVX2/AVX-512/NEON the CPU
-//!    supports, every path bit-identical) — instead of one scalar `word`
-//!    per node.  The plane is bit-identical to the
-//!    scalar tape walk (same mixer outputs, same picks, same chosen
-//!    seeds; see the batch contract in `parcolor_local::tape`), so the
-//!    reference `simulate` path and the golden hashes are unchanged.
-//! 5. **Seed-lane block evaluation.**  Every procedure overrides
-//!    [`NormalProcedure::seed_cost_block`]: a block of up to `SEED_BLOCK`
-//!    seeds materializes its picks/samples/proposals as one
-//!    structure-of-arrays plane (`PickPlane::soa` + the lane bitmasks),
-//!    and the clash/slack/undominated scans run ONCE over the graph with
-//!    lane-parallel compares, instead of once per seed.  See the block
-//!    contract on [`NormalProcedure::seed_cost_block`].
+//! 1. [`NormalProcedure::simulate`] — the allocating **reference
+//!    oracle**: a direct transcription of the procedure that re-derives a
+//!    neighbor's draw once per incident edge.  The tests pin the other two
+//!    paths to it.
+//! 2. [`NormalProcedure::seed_cost_block`] — the **seed search**.  One
+//!    call evaluates a block of up to `SEED_BLOCK` candidate seeds: the
+//!    block's picks/samples/proposals are materialized as one
+//!    structure-of-arrays plane (`PickPlane::soa` + the lane bitmasks), and
+//!    the clash/slack/undominated scans run ONCE over the graph with
+//!    lane-parallel compares instead of once per seed (a one-lane block is
+//!    the scalar case).  `parcolor_prg::select_seed_blocks_n` folds the
+//!    blocks over the executor pool, one [`SimScratch`] per worker:
+//!    workers steal `SEED_BLOCK`-sized blocks off one shared atomic
+//!    counter, and the fold merges `(sum, min, argmin)` with a lowest-seed
+//!    tie-break — grouping-invariant for the integer SSP costs, so results
+//!    are bit-identical for any worker count and any steal order.
+//! 3. [`NormalProcedure::simulate_into`] — **applies** the chosen seed
+//!    (or true randomness) once per step into a reusable [`SimScratch`]
+//!    arena (epoch-stamped per-node caches, flat adoption / aux buffers).
+//!    Each active node's pick is computed once (`O(n_active)` tape reads)
+//!    and clashes resolve with `O(m)` array lookups, versus `O(Σ_v d(v))`
+//!    tape reads in `simulate`; procedures whose rounds are large stripe
+//!    the nodes across the executor pool.
 //!
-//! Per derandomized step the fast path therefore costs
-//! `O(2^seed_bits · (n_active + m_active) / workers)` with no allocation,
-//! and `BitwiseCondExp` streams each half-space mean instead of
-//! materializing the `2^seed_bits` cost table (see
+//! All three draw through the **batched randomness plane**
+//! ([`PickPlane`]): a procedure's draws are materialized for a whole
+//! stripe of nodes in one `Randomness::fill_*` call per stream — the
+//! tape's seed/stream mixer rounds are hoisted once per stripe and the
+//! per-node rounds run in explicit four-lane SIMD
+//! (`parcolor_local::simd::splitmix4`, runtime-dispatched to the best of
+//! scalar/AVX2/AVX-512/NEON the CPU supports, every path bit-identical).
+//! The plane is bit-identical to the scalar tape walk (see the batch
+//! contract in `parcolor_local::tape`), so the golden hashes do not depend
+//! on it.
+//!
+//! Per derandomized step the search therefore costs
+//! `O(2^seed_bits · (n_active + m_active) / workers)` with no allocation
+//! after warm-up, and `BitwiseCondExp` streams each half-space mean instead
+//! of materializing the `2^seed_bits` cost table (see
 //! `parcolor_prg::seed_search`).  `tests/seed_fastpath_equivalence.rs`
-//! pins the fast path to the reference path: identical `SeedSelection`
-//! (seed, cost, mean, trace) and identical outcomes for every strategy.
+//! pins `seed_cost_block` and `simulate_into` to the oracle: identical
+//! per-seed costs at every block length, identical `SeedSelection` (seed,
+//! cost, mean, trace) for every strategy, and identical outcomes under the
+//! chosen seed.
 
 use crate::config::{ChunkMode, Params};
 use crate::instance::{ColoringState, NO_COLOR};
@@ -99,8 +97,8 @@ pub struct Outcome {
 /// its own stripe, so nothing needs clearing between seed evaluations and
 /// capacity is retained across the whole seed search.  Every draw is
 /// bit-identical to the scalar calls it replaces (the tape-level batch
-/// contract), which is what keeps the fast path pinned to the reference
-/// path.
+/// contract), which is what keeps the production paths pinned to the
+/// `simulate` oracle.
 #[derive(Clone, Debug, Default)]
 pub struct PickPlane {
     /// Node stripe scratch (gathered subsets, e.g. sampled nodes).
@@ -128,11 +126,11 @@ pub struct PickPlane {
     pub valid_mask: Vec<u8>,
     /// Per-node seed-lane **adoption** bits (bit `s` ⇔ the node adopted
     /// [`PickPlane::soa`]`[v][s]` under seed lane `s`), dense by node id —
-    /// the block-evaluation analogue of [`SimScratch::adopted_color`],
+    /// the block-evaluation analogue of [`SimScratch::adoptions`],
     /// consumed by the lane-parallel SSP evaluators.
     pub adopted_mask: Vec<u8>,
     /// Per-lane sorted-set buffers for lane-parallel slack evaluation
-    /// (the block analogue of [`SimScratch::taken`]).
+    /// (the per-lane analogue of the oracle's distinct-color set).
     pub taken_lanes: [Vec<u32>; SEED_BLOCK],
 }
 
@@ -185,12 +183,13 @@ impl PickPlane {
     }
 }
 
-/// Reusable per-worker arena for seed evaluations — the zero-allocation
-/// backing store of [`NormalProcedure::simulate_into`].
+/// Reusable arena for procedure evaluations — one per seed-search worker
+/// (the planes of [`NormalProcedure::seed_cost_block`]) plus one per
+/// runner (the outcome of [`NormalProcedure::simulate_into`]).
 ///
 /// All per-node caches are **epoch-stamped**: [`SimScratch::begin`] bumps
 /// one epoch counter instead of clearing `O(n)` memory, so starting a new
-/// seed evaluation is `O(1)` plus truncating the flat outcome buffers.
+/// evaluation is `O(1)` plus truncating the flat outcome buffers.
 /// Capacity is retained across evaluations; after the first evaluation of
 /// a step, subsequent seeds perform no heap allocation.
 #[derive(Clone, Debug)]
@@ -202,24 +201,17 @@ pub struct SimScratch {
     pub adoptions: Vec<(NodeId, u32)>,
     /// Aux node-set output of the current evaluation.
     pub aux: Vec<NodeId>,
-    // -- dense adopted-color view (valid where stamp matches epoch) --
-    adopted: Vec<u32>,
-    adopted_stamp: Vec<u32>,
-    // -- per-node caches for pick/proposal, sample bits, probabilities --
+    // -- per-node caches for pick/proposal and sample bits --
     picks: Vec<u32>,
     pick_stamp: Vec<u32>,
     bits: Vec<bool>,
     bit_stamp: Vec<u32>,
-    probs: Vec<f64>,
-    prob_stamp: Vec<u32>,
     mark_stamp: Vec<u32>,
     // -- flat arenas reused by individual procedures --
     /// Flat candidate-color arena (MultiTrial draws).
     pub draw_colors: Vec<u32>,
     /// Offsets into [`SimScratch::draw_colors`], one per active node + 1.
     pub draw_off: Vec<usize>,
-    /// Small sorted-set buffer (SSP slack evaluation).
-    pub taken: Vec<u32>,
     /// Permutation buffer (SynchColorTrial leader deals).
     pub perm: Vec<u32>,
     /// Batched randomness plane (stripe-scoped, no per-seed clearing).
@@ -234,18 +226,13 @@ impl SimScratch {
             epoch: 0,
             adoptions: Vec::new(),
             aux: Vec::new(),
-            adopted: vec![NO_COLOR; n],
-            adopted_stamp: vec![0; n],
             picks: vec![NO_COLOR; n],
             pick_stamp: vec![0; n],
             bits: vec![false; n],
             bit_stamp: vec![0; n],
-            probs: vec![0.0; n],
-            prob_stamp: vec![0; n],
             mark_stamp: vec![0; n],
             draw_colors: Vec::new(),
             draw_off: Vec::new(),
-            taken: Vec::new(),
             perm: Vec::new(),
             plane: PickPlane::default(),
         }
@@ -262,10 +249,8 @@ impl SimScratch {
     pub fn begin(&mut self) {
         if self.epoch == u32::MAX {
             // Stamp wrap (once per 2^32 evaluations): hard-reset.
-            self.adopted_stamp.iter_mut().for_each(|s| *s = 0);
             self.pick_stamp.iter_mut().for_each(|s| *s = 0);
             self.bit_stamp.iter_mut().for_each(|s| *s = 0);
-            self.prob_stamp.iter_mut().for_each(|s| *s = 0);
             self.mark_stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 0;
         }
@@ -276,22 +261,10 @@ impl SimScratch {
         self.draw_off.clear();
     }
 
-    /// Record an adoption `(v, c)` (also maintains the dense view).
+    /// Record an adoption `(v, c)`.
     #[inline]
     pub fn record_adoption(&mut self, v: NodeId, c: u32) {
         self.adoptions.push((v, c));
-        self.adopted[v as usize] = c;
-        self.adopted_stamp[v as usize] = self.epoch;
-    }
-
-    /// Color adopted by `v` in the current evaluation (`NO_COLOR` if none).
-    #[inline]
-    pub fn adopted_color(&self, v: NodeId) -> u32 {
-        if self.adopted_stamp[v as usize] == self.epoch {
-            self.adopted[v as usize]
-        } else {
-            NO_COLOR
-        }
     }
 
     /// Cache a pick/proposal for `v`.
@@ -316,26 +289,19 @@ impl SimScratch {
         self.picks[v as usize]
     }
 
-    /// Stamp-free pick write for fused cost evaluations that fill every
-    /// node they will subsequently read via [`SimScratch::pick_raw`].
+    /// Stamp-free pick read; only valid after `v`'s slot was written
+    /// through [`SimScratch::plane_and_picks`] in the same evaluation.
     /// Never mix with stamped reads ([`SimScratch::pick`]) in the same
     /// evaluation.
-    #[inline]
-    pub fn set_pick_raw(&mut self, v: NodeId, c: u32) {
-        self.picks[v as usize] = c;
-    }
-
-    /// Stamp-free pick read; only valid after [`SimScratch::set_pick_raw`]
-    /// wrote `v` in the same evaluation.
     #[inline]
     pub fn pick_raw(&self, v: NodeId) -> u32 {
         self.picks[v as usize]
     }
 
     /// Split-borrow the randomness plane together with the dense pick
-    /// array (stamp-free, [`SimScratch::set_pick_raw`] contract) —
-    /// striped `simulate_into_par` overrides fill picks from plane
-    /// stripes in parallel and need both halves mutably at once.
+    /// array (stamp-free: read back with [`SimScratch::pick_raw`]) —
+    /// striped `simulate_into` overrides fill picks from plane stripes in
+    /// parallel and need both halves mutably at once.
     pub fn plane_and_picks(&mut self) -> (&mut PickPlane, &mut [u32]) {
         (&mut self.plane, &mut self.picks)
     }
@@ -353,36 +319,10 @@ impl SimScratch {
         self.bit_stamp[v as usize] == self.epoch && self.bits[v as usize]
     }
 
-    /// Cache a per-node probability for `v`.
-    #[inline]
-    pub fn set_prob(&mut self, v: NodeId, p: f64) {
-        self.probs[v as usize] = p;
-        self.prob_stamp[v as usize] = self.epoch;
-    }
-
-    /// Cached probability of `v` (0.0 if unset this evaluation).
-    #[inline]
-    pub fn prob(&self, v: NodeId) -> f64 {
-        if self.prob_stamp[v as usize] == self.epoch {
-            self.probs[v as usize]
-        } else {
-            0.0
-        }
-    }
-
     /// Add `v` to the evaluation-scoped mark set.
     #[inline]
     pub fn mark(&mut self, v: NodeId) {
         self.mark_stamp[v as usize] = self.epoch;
-    }
-
-    /// Add `v` to the mark set, reporting whether it was newly added
-    /// (lets clash scans count distinct clashed nodes on the fly).
-    #[inline]
-    pub fn mark_new(&mut self, v: NodeId) -> bool {
-        let fresh = self.mark_stamp[v as usize] != self.epoch;
-        self.mark_stamp[v as usize] = self.epoch;
-        fresh
     }
 
     /// Whether `v` is in the mark set.
@@ -413,9 +353,10 @@ impl SimScratch {
 
 /// A normal `(τ, Δ)`-round distributed procedure (Definition 5).
 ///
-/// Implementations must keep `simulate` **pure**: the outcome must be a
-/// deterministic function of `(state, rng)` and must not mutate anything —
-/// the derandomizer calls it once per candidate seed, in parallel.
+/// Implementations must keep every evaluation **pure**: the outcome must
+/// be a deterministic function of `(state, rng)` and must not mutate
+/// anything — the derandomizer evaluates every candidate seed, in
+/// parallel.
 pub trait NormalProcedure: Sync {
     /// Human-readable procedure name (for reports).
     fn name(&self) -> &'static str;
@@ -436,31 +377,19 @@ pub trait NormalProcedure: Sync {
     /// Simulate the procedure on the current state under `rng`.
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome;
 
-    /// Simulate into a reusable scratch arena — the zero-allocation fast
-    /// path driven once per candidate seed by the derandomizer.
+    /// Simulate into a reusable scratch arena — the once-per-step
+    /// application of the chosen seed (or of true randomness).
     ///
     /// Must be **outcome-equivalent** to [`NormalProcedure::simulate`]
-    /// (same adoptions in the same order, same aux set) and must call
-    /// `scratch.begin()` first.  Implementations should be sequential:
-    /// seed-level parallelism is supplied outside, by `select_seed_with`.
-    /// The default delegates to `simulate` (correct, but allocating).
-    fn simulate_into(&self, state: &ColoringState, rng: &dyn Randomness, scratch: &mut SimScratch) {
-        let out = self.simulate(state, rng);
-        scratch.load_outcome(&out);
-    }
-
-    /// [`NormalProcedure::simulate_into`] with node-striped parallelism
-    /// on the executor pool — the once-per-step application of the
-    /// chosen seed (or of true randomness), where the instance is large
-    /// and the evaluation is not already inside a seed-search worker.
-    ///
-    /// Must be **bit-identical** to `simulate_into` at every worker
-    /// count: overrides may parallelize only node stripes whose values
-    /// are independent given the previous round's state (batch tape
+    /// (same adoptions in the same order, same aux set) at every worker
+    /// count, and must call `scratch.begin()` first.  Overrides may stripe
+    /// nodes across `pool` (`workers`: `0` = auto) only where a node's
+    /// value is independent given the previous round's state (batch tape
     /// draws, per-node clash predicates), and must keep every
     /// order-sensitive effect (adoption recording) in sequential active
-    /// order.  The default simply runs the sequential path.
-    fn simulate_into_par(
+    /// order.  The default delegates to `simulate` (correct, but
+    /// allocating).
+    fn simulate_into(
         &self,
         state: &ColoringState,
         rng: &dyn Randomness,
@@ -469,57 +398,32 @@ pub trait NormalProcedure: Sync {
         workers: usize,
     ) {
         let _ = (pool, workers);
-        self.simulate_into(state, rng, scratch);
+        let out = self.simulate(state, rng);
+        scratch.load_outcome(&out);
     }
 
-    /// [`NormalProcedure::seed_cost`] evaluated against the scratch arena
-    /// filled by the latest `simulate_into` — must return exactly the same
-    /// value `seed_cost` would for the equivalent [`Outcome`].  The
-    /// default materializes the outcome (allocating); hot procedures
-    /// override it with allocation-free counting.
-    fn seed_cost_scratch(&self, state: &ColoringState, scratch: &mut SimScratch) -> f64 {
-        let out = scratch.to_outcome();
-        self.seed_cost(state, &out)
-    }
-
-    /// One fused seed evaluation: simulate under `rng` and return the seed
-    /// cost.  Must equal `simulate_into` + `seed_cost_scratch` (and hence
-    /// `simulate` + `seed_cost`) — but implementations may skip producing
-    /// the outcome when the cost alone is cheaper to compute (e.g. a
-    /// clash count).  This is what the derandomizer calls per candidate
-    /// seed; the outcome of the *chosen* seed is always re-simulated via
-    /// `simulate_into`.
-    fn seed_cost_fused(
-        &self,
-        state: &ColoringState,
-        rng: &dyn Randomness,
-        scratch: &mut SimScratch,
-    ) -> f64 {
-        self.simulate_into(state, rng, scratch);
-        self.seed_cost_scratch(state, scratch)
-    }
-
-    /// Fused cost evaluation for a **block** of candidate seeds, one tape
-    /// per seed (at most `parcolor_prg::SEED_BLOCK`): must write
-    /// `costs[i] = seed_cost_fused(state, tapes[i], scratch)` for every
-    /// lane.  The default is exactly that loop; hot procedures override
-    /// it to materialize the whole block's picks into the seed-lane plane
-    /// (`PickPlane::soa`) and amortize their clash scan across lanes.
+    /// Seed costs for a **block** of candidate seeds, one tape per seed
+    /// (at most `parcolor_prg::SEED_BLOCK`): must write `costs[i] =`
+    /// [`NormalProcedure::seed_cost`] of [`NormalProcedure::simulate`]
+    /// under `tapes[i]` for every lane.  The default is exactly that
+    /// oracle loop; the HKNT procedures override it to materialize the
+    /// whole block's draws into the seed-lane plane (`PickPlane::soa`) and
+    /// amortize their scans across lanes.
     ///
     /// ## The block contract
     ///
     /// An override must guarantee, for every lane `i < costs.len()`:
     ///
     /// 1. **Per-lane purity.**  `costs[i]` is a pure function of seed
-    ///    lane `i` alone — exactly the value `seed_cost_fused(state,
-    ///    tapes[i], scratch)` computes, bit-for-bit (costs are integer
-    ///    SSP-failure counts, so "bit-for-bit" is meaningful).  Lanes
-    ///    must not leak into one another: the block fold regroups blocks
-    ///    freely across workers, and `tests/seed_fastpath_equivalence.rs`
-    ///    pins every override to the per-seed fused path.
+    ///    lane `i` alone — exactly the oracle's value, bit-for-bit (costs
+    ///    are integer SSP-failure counts, so "bit-for-bit" is
+    ///    meaningful).  Lanes must not leak into one another: the block
+    ///    fold regroups blocks freely across workers, and
+    ///    `tests/seed_fastpath_equivalence.rs` pins every override to the
+    ///    oracle.
     /// 2. **Tape addressing is unchanged.**  Each lane draws through its
-    ///    own tape with the same `(node, stream, idx)` addresses the
-    ///    scalar path uses — materializing lanes into the plane is a
+    ///    own tape with the same `(node, stream, idx)` addresses
+    ///    `simulate` uses — materializing lanes into the plane is a
     ///    layout change, never a randomness change.
     /// 3. **Stale lanes are masked.**  Dense SoA rows
     ///    (`PickPlane::soa`) retain garbage from earlier blocks in lanes
@@ -540,8 +444,10 @@ pub trait NormalProcedure: Sync {
         costs: &mut [f64],
     ) {
         debug_assert_eq!(tapes.len(), costs.len());
+        let _ = scratch;
         for (tape, c) in tapes.iter().zip(costs.iter_mut()) {
-            *c = self.seed_cost_fused(state, *tape, scratch);
+            let out = self.simulate(state, *tape);
+            *c = self.seed_cost(state, &out);
         }
     }
 
@@ -599,9 +505,11 @@ pub type BlockEval<'a> = &'a (dyn Fn(u64, &mut [f64], &mut SimScratch) + Sync);
 /// arenas.
 ///
 /// Searches within one solve are issued sequentially and in a
-/// deterministic order (the solver tree is walked depth-first and the
-/// rayon shim's `collect` terminal is sequential); backends that
-/// replicate solver state across machines may rely on that order.
+/// deterministic order: `Solver::solve_rec` walks the partition bins in a
+/// sequential loop, depth-first, and every runner step issues at most one
+/// search.  Distributed replication relies on that order — the
+/// coordinator, its standby and every worker replica number searches by
+/// position.
 pub trait SeedSearcher: Send + Sync {
     /// Run one seed search.
     fn select(
@@ -829,7 +737,7 @@ impl<'g> Runner<'g> {
                 if scratch.n() != n {
                     *scratch = SimScratch::new(n);
                 }
-                proc.simulate_into_par(
+                proc.simulate_into(
                     state,
                     &keyed,
                     scratch,
@@ -845,11 +753,10 @@ impl<'g> Runner<'g> {
                 workers,
                 searcher,
             } => {
-                // Fast path: scratch-buffer simulation, one arena per
-                // seed-search worker, sequential inner simulation, seeds
-                // evaluated in blocks so procedures can amortize their
-                // scans across the block's seed lanes; blocks are dealt
-                // to workers by atomic stealing (grouping-invariant).
+                // Seeds are evaluated in blocks, one arena per seed-search
+                // worker, so procedures can amortize their scans across
+                // the block's seed lanes; blocks are dealt to workers by
+                // atomic stealing (grouping-invariant).
                 // The search itself runs wherever the backend says —
                 // in-process pool or a distributed fleet; either way the
                 // selection is identical (see `SeedSearcher`).
@@ -878,7 +785,7 @@ impl<'g> Runner<'g> {
                 if scratch.n() != n {
                     *scratch = SimScratch::new(n);
                 }
-                proc.simulate_into_par(
+                proc.simulate_into(
                     st,
                     &keyed,
                     scratch,

@@ -22,7 +22,6 @@ use crate::instance::{ColoringState, D1lcInstance};
 use crate::lowdeg::color_low_degree;
 use crate::reduce::{low_space_partition, PartitionStats};
 use parcolor_local::graph::NodeId;
-use rayon::prelude::*;
 use serde::Serialize;
 
 /// Execution mode of the solver.
@@ -210,8 +209,11 @@ impl Solver {
             budget_violations: 0,
         };
 
-        // --- Restricted bins 0..B-2: independent sub-instances, solved in
-        // parallel; their colors cannot conflict (disjoint color bins). ---
+        // --- Restricted bins 0..B-2: independent sub-instances (parallel
+        // in the MPC model); their colors cannot conflict (disjoint color
+        // bins).  Walked in a sequential loop on purpose: the bins' seed
+        // searches must be issued in a deterministic order, which
+        // distributed replication relies on (see `SeedSearcher`). ---
         let color_hash = &part.color_hash;
         type BinResult = (Vec<(NodeId, u32)>, Cost, SolveStats);
         let sub_results: Vec<BinResult> = part
@@ -219,8 +221,6 @@ impl Solver {
             .iter()
             .take(bins - 1)
             .enumerate()
-            .collect::<Vec<_>>()
-            .into_par_iter()
             .filter(|(_, bin_nodes)| !bin_nodes.is_empty())
             .map(|(b, bin_nodes)| {
                 let (sub, map) = state

@@ -72,7 +72,7 @@ proptest! {
 }
 
 /// Random graph + fresh Δ+1 instance, sized so the striped path engages
-/// (well above the serial-fallback floor of the `simulate_into_par`
+/// (well above the sequential floor of the striped `simulate_into`
 /// overrides).
 fn large_instance(seed: u64) -> D1lcInstance {
     let n = 6000usize;
@@ -89,8 +89,9 @@ fn large_instance(seed: u64) -> D1lcInstance {
     D1lcInstance::delta_plus_one(Graph::from_edges(n, &edges))
 }
 
-/// The striped `TryRandomColor::simulate_into_par` records exactly the
-/// adoptions of the sequential `simulate_into`, at every worker count.
+/// `TryRandomColor::simulate_into` — sequential at one worker, striped
+/// above — records exactly the adoptions of the `simulate` oracle, at
+/// every worker count.
 #[test]
 fn striped_round_simulation_matches_sequential() {
     for seed in [1u64, 42, 7777] {
@@ -106,8 +107,7 @@ fn striped_round_simulation_matches_sequential() {
         );
         let tape = CryptoTape::new(seed ^ 0xD1CE);
 
-        let mut reference = SimScratch::new(n);
-        proc.simulate_into(&state, &tape, &mut reference);
+        let reference = proc.simulate(&state, &tape);
         assert!(
             !reference.adoptions.is_empty(),
             "degenerate case: no adoptions"
@@ -115,7 +115,7 @@ fn striped_round_simulation_matches_sequential() {
 
         for &w in &WORKER_MATRIX {
             let mut scratch = SimScratch::new(n);
-            proc.simulate_into_par(&state, &tape, &mut scratch, Executor::global(), w);
+            proc.simulate_into(&state, &tape, &mut scratch, Executor::global(), w);
             assert_eq!(
                 scratch.adoptions, reference.adoptions,
                 "adoptions diverge at {w} workers (seed {seed})"

@@ -128,16 +128,14 @@ fn env_threads(key: &str) -> Option<usize> {
 }
 
 /// Worker-thread count configured for this process: the
-/// `PARCOLOR_THREADS` env var if set, else the deprecated
-/// `PARCOLOR_SEED_THREADS` alias (the seed-search-only knob this crate's
-/// knob supersedes), else all hardware threads.  A malformed value
+/// `PARCOLOR_THREADS` env var if set, else all hardware threads.  A
+/// malformed value
 /// (`"abc"`, `"0"`, `"-3"`…) warns once and falls through as if unset.
 ///
 /// Read per call (not cached) so benches can pin a section by setting
 /// the variable at runtime.
 pub fn configured_threads() -> usize {
     env_threads("PARCOLOR_THREADS")
-        .or_else(|| env_threads("PARCOLOR_SEED_THREADS"))
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 

@@ -126,20 +126,6 @@ pub trait Randomness: Sync {
     }
 }
 
-/// Adapter forcing the scalar default batch methods of an inner tape —
-/// the "batching off" mode used by equivalence tests and the scalar legs
-/// of the batch benchmarks.  Only [`Randomness::word`] is forwarded, so
-/// every `fill_*` call runs the trait defaults over the inner scalar
-/// mixer.
-pub struct ForceScalar<R>(pub R);
-
-impl<R: Randomness> Randomness for ForceScalar<R> {
-    #[inline]
-    fn word(&self, node: u32, stream: u64, idx: u32) -> u64 {
-        self.0.word(node, stream, idx)
-    }
-}
-
 /// SplitMix64 finalizer: a full-avalanche 64-bit mixer.  This is the
 /// standard constant set from Vigna's `splitmix64`; it is bijective and
 /// passes avalanche tests, which is all the tapes need.
@@ -407,18 +393,6 @@ mod tests {
             assert_eq!(below[i], t.below(v, 2, 1, bounds[i]));
             assert_eq!(bern[i], t.bernoulli(v, 3, 0, 0.3));
         }
-    }
-
-    #[test]
-    fn force_scalar_is_transparent() {
-        let t = CryptoTape::new(17);
-        let s = ForceScalar(CryptoTape::new(17));
-        let nodes: Vec<u32> = (0..MIX_LANES as u32 + 1).collect();
-        let mut a = vec![0u64; nodes.len()];
-        let mut b = vec![0u64; nodes.len()];
-        t.fill_words(5, &nodes, 2, &mut a);
-        s.fill_words(5, &nodes, 2, &mut b);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //! On top of both sits [`seed_search`]: deterministic seed selection by
 //! exhaustive evaluation, fixed-subset evaluation, or the bitwise **method
 //! of conditional expectations** (the form actually run on an MPC, Lemma
-//! 10).  Seed evaluation is embarrassingly parallel and is distributed with
-//! rayon — the hot loop of the whole reproduction.
+//! 10).  Seed evaluation is embarrassingly parallel and is folded over
+//! seed blocks on the `parcolor_exec` work-stealing pool — the hot loop of
+//! the whole reproduction.
 
 pub mod hashing;
 pub mod prg;
@@ -30,9 +31,8 @@ pub mod seed_search;
 pub use hashing::{KWiseFamily, PairwiseHash};
 pub use prg::{ChunkAssignment, Prg, PrgTape};
 pub use seed_search::{
-    fold_seed_range_in, seed_workers, select_seed, select_seed_blocks, select_seed_blocks_n,
-    select_seed_folded, select_seed_with, select_seed_with_n, RangeFolder, SeedSelection,
-    SeedStrategy, SEED_BLOCK,
+    fold_seed_range_in, seed_workers, select_seed, select_seed_blocks_n, select_seed_folded,
+    RangeFolder, SeedSelection, SeedStrategy, SEED_BLOCK,
 };
 // Re-exported so remote-sharding backends can merge partial folds with
 // the exact kernel the local path uses.

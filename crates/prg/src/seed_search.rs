@@ -7,8 +7,8 @@
 //! find a seed whose cost is at most the mean over the seed space.  Three
 //! interchangeable strategies are provided:
 //!
-//! * [`SeedStrategy::Exhaustive`] — evaluate every seed (rayon-parallel)
-//!   and take the argmin.  Gold standard; cost `2^d · eval`.
+//! * [`SeedStrategy::Exhaustive`] — evaluate every seed and take the
+//!   argmin.  Gold standard; cost `2^d · eval`.
 //! * [`SeedStrategy::BitwiseCondExp`] — the textbook method of conditional
 //!   expectations: fix seed bits one at a time, each time choosing the
 //!   branch with the smaller conditional mean.  This is the form that maps
@@ -23,35 +23,32 @@
 //! `SingleSeed` pins the seed (used to measure "no derandomization" in
 //! ablations).
 //!
-//! ## Fast path: [`select_seed_with`]
+//! ## Entry points
 //!
-//! [`select_seed`] evaluates a plain `cost(seed)` closure and (for
-//! `Exhaustive`/`BitwiseCondExp`) materializes the whole `2^d`-entry cost
-//! table — simple, but allocation-heavy and wasteful when each evaluation
-//! itself wants reusable scratch buffers.  [`select_seed_with`] is the
-//! batched replacement used by the framework's hot loop:
-//!
-//! * the caller provides a `make_scratch` factory and an
-//!   `eval(seed, &mut scratch)` closure, so each worker thread owns one
-//!   scratch arena and seed evaluations allocate nothing after warm-up;
-//! * seeds are folded on the **persistent work-stealing pool** of
-//!   [`parcolor_exec`] (seed-level parallelism only — evaluations
-//!   themselves must be sequential): workers steal [`SEED_BLOCK`]-sized
-//!   blocks off one shared atomic counter, merging `(sum, min, argmin)`
-//!   with a lowest-seed tie-break; the block fold is grouping-invariant,
-//!   so the result is independent of both the worker count and the steal
-//!   order (the `_n` variants pin the worker count explicitly);
-//! * `BitwiseCondExp` becomes a true streaming conditional-expectation
-//!   walk: each half-space mean is a fresh parallel reduction, nothing is
-//!   materialized, and the trace/guarantee fields match the exhaustive
+//! * [`select_seed`] — the reference oracle: evaluates a plain
+//!   `cost(seed)` closure sequentially and (for `Exhaustive` /
+//!   `BitwiseCondExp`) materializes the whole `2^d`-entry cost table.
+//! * [`select_seed_blocks_n`] — the one in-process production entry:
+//!   the caller provides a `make_scratch` factory and a block evaluator
+//!   writing the costs of up to [`SEED_BLOCK`] contiguous seeds, so each
+//!   worker owns one scratch arena (no allocation after warm-up) and
+//!   evaluators amortize graph scans across a block's seed lanes.  Blocks
+//!   are folded on the **persistent work-stealing pool** of
+//!   [`parcolor_exec`], merging `(sum, min, argmin)` with a lowest-seed
+//!   tie-break; the fold is grouping-invariant, so the result is
+//!   independent of both the worker count and the steal order.
+//!   `BitwiseCondExp` becomes a streaming conditional-expectation walk:
+//!   each half-space mean is a fresh parallel reduction, nothing is
+//!   materialized, and the trace/guarantee fields match the oracle's
 //!   table walk bit-for-bit for integer-valued costs (SSP failure counts —
 //!   verified by `tests/seed_fastpath_equivalence.rs`).
+//! * [`select_seed_folded`] — the same strategy logic against any
+//!   [`RangeFolder`]; the distributed coordinator plugs its fleet in here.
 
 use parcolor_exec::{Executor, SumMinArgmin};
-use rayon::prelude::*;
 use serde::Serialize;
 
-/// Width of one seed block: [`select_seed_blocks`] hands its evaluator up
+/// Width of one seed block: [`select_seed_blocks_n`] hands its evaluator up
 /// to this many **contiguous** seeds at a time, so cost functions can
 /// amortize shared work (graph scans, plane fills) across the block's
 /// seed lanes.  Sized to one AVX2 register of `u32` picks — and capped at
@@ -101,8 +98,8 @@ impl SeedSelection {
 }
 
 /// Deterministically choose a seed from `{0,1}^seed_bits` minimizing
-/// `cost`, following `strategy`.  `cost` must be a pure function of the
-/// seed; evaluation is parallelized over seeds with rayon.
+/// `cost`, following `strategy` — the reference oracle.  `cost` must be a
+/// pure function of the seed; seeds are evaluated sequentially, in order.
 pub fn select_seed<F>(seed_bits: u32, strategy: SeedStrategy, cost: F) -> SeedSelection
 where
     F: Fn(u64) -> f64 + Sync,
@@ -124,109 +121,32 @@ where
         }
         SeedStrategy::FixedSubset(k) => {
             let k = k.clamp(1, space);
-            let costs: Vec<f64> = (0..k).into_par_iter().map(&cost).collect();
+            let costs: Vec<f64> = (0..k).map(&cost).collect();
             argmin_selection(&costs, k)
         }
         SeedStrategy::Exhaustive => {
-            let costs: Vec<f64> = (0..space).into_par_iter().map(&cost).collect();
+            let costs: Vec<f64> = (0..space).map(&cost).collect();
             argmin_selection(&costs, space)
         }
         SeedStrategy::BitwiseCondExp => {
-            let costs: Vec<f64> = (0..space).into_par_iter().map(&cost).collect();
+            let costs: Vec<f64> = (0..space).map(&cost).collect();
             bitwise_walk(seed_bits, &costs)
         }
     }
 }
 
-/// Deterministically choose a seed using per-thread scratch state — the
-/// zero-allocation fast path of the seed search.
+/// Deterministically choose a seed with a **block** evaluator on the
+/// in-process work-stealing pool, using `workers` threads (`0` = auto:
+/// the `PARCOLOR_THREADS` env var, else all hardware threads).
 ///
-/// `make_scratch` builds one scratch arena per worker thread;
-/// `eval(seed, &mut scratch)` must be a pure function of the seed (the
-/// scratch is an optimization detail, not state: evaluations must not
-/// depend on what a previous seed left in it beyond capacity).  Returns
-/// exactly the same `SeedSelection` as [`select_seed`] for integer-valued
-/// cost functionals, for every strategy.
-///
-/// Parallelism is over **seeds only**: chunks of the seed space are folded
-/// on scoped threads, each owning one scratch.  Evaluations must therefore
-/// be sequential internally — exactly the regime the framework's
-/// `simulate_into` implementations are written for.
-pub fn select_seed_with<S, M, F>(
-    seed_bits: u32,
-    strategy: SeedStrategy,
-    make_scratch: M,
-    eval: F,
-) -> SeedSelection
-where
-    S: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(u64, &mut S) -> f64 + Sync,
-{
-    select_seed_with_n(seed_bits, strategy, 0, make_scratch, eval)
-}
-
-/// [`select_seed_with`] with an explicit worker count (`0` = auto); see
-/// [`select_seed_blocks_n`] for the sharding semantics.
-pub fn select_seed_with_n<S, M, F>(
-    seed_bits: u32,
-    strategy: SeedStrategy,
-    workers: usize,
-    make_scratch: M,
-    eval: F,
-) -> SeedSelection
-where
-    S: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(u64, &mut S) -> f64 + Sync,
-{
-    // The scalar evaluator is a degenerate block evaluator.
-    select_seed_blocks_n(
-        seed_bits,
-        strategy,
-        workers,
-        make_scratch,
-        |seed0, costs, scratch| {
-            for (i, c) in costs.iter_mut().enumerate() {
-                *c = eval(seed0 + i as u64, scratch);
-            }
-        },
-    )
-}
-
-/// [`select_seed_with`] with a **block** evaluator — the batched
-/// randomness-plane form of the seed search.
-///
-/// `eval_block(seed0, costs, scratch)` must write
-/// `costs[i] = cost(seed0 + i)` for every `i < costs.len()`; blocks are
-/// contiguous, at most [`SEED_BLOCK`] long, and aligned to block-index
-/// boundaries of the evaluated range.  Because each cost must be a pure
-/// function of its own seed, block grouping (and hence worker count) can
-/// never change the outcome; the selection is field-for-field identical
-/// to [`select_seed`] for integer-valued costs.
-///
-/// The block form is what lets evaluators amortize per-seed fixed costs:
-/// a procedure can materialize the pick plane of all the block's seeds
-/// (structure-of-arrays, one `u32` lane per seed) and run its clash scan
-/// once over the graph with lane-parallel compares, instead of once per
-/// seed.
-pub fn select_seed_blocks<S, M, F>(
-    seed_bits: u32,
-    strategy: SeedStrategy,
-    make_scratch: M,
-    eval_block: F,
-) -> SeedSelection
-where
-    S: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(u64, &mut [f64], &mut S) + Sync,
-{
-    select_seed_blocks_n(seed_bits, strategy, 0, make_scratch, eval_block)
-}
-
-/// [`select_seed_blocks`] with an explicit worker count (`0` = auto: the
-/// `PARCOLOR_THREADS` env var — `PARCOLOR_SEED_THREADS` is honored as a
-/// deprecated alias — else all hardware threads).
+/// `make_scratch` builds one scratch arena per worker;
+/// `eval_block(seed0, costs, scratch)` must write `costs[i] = cost(seed0 +
+/// i)` for every `i < costs.len()`.  Blocks are contiguous, at most
+/// [`SEED_BLOCK`] long, and aligned to block-index boundaries of the
+/// evaluated range.  Each cost must be a pure function of its own seed
+/// (the scratch is an optimization detail, not state), so block grouping
+/// can never change the outcome: the selection is field-for-field
+/// identical to [`select_seed`] for integer-valued costs.
 ///
 /// Workers **steal seed blocks** off one shared atomic counter instead of
 /// owning fixed contiguous chunks, so a straggler block (dense
@@ -453,9 +373,8 @@ where
 }
 
 /// Worker threads for a fold over `len` seeds.  `requested = 0` means
-/// auto: the `PARCOLOR_THREADS` env var if set (with
-/// `PARCOLOR_SEED_THREADS` honored as a deprecated alias), else all
-/// hardware threads — see [`parcolor_exec::resolve_workers`].  Tiny
+/// auto: the `PARCOLOR_THREADS` env var if set, else all hardware
+/// threads — see [`parcolor_exec::resolve_workers`].  Tiny
 /// ranges stay serial — scheduling overhead would dominate — and the
 /// count is capped so every worker has ≥ 32 seeds.
 pub fn seed_workers(len: u64, requested: usize) -> usize {
@@ -516,7 +435,7 @@ fn bitwise_walk(seed_bits: u32, costs: &[f64]) -> SeedSelection {
 fn range_mean(costs: &[f64], start: u64, len: u64) -> f64 {
     let s = start as usize;
     let e = s + len as usize;
-    costs[s..e].par_iter().sum::<f64>() / len as f64
+    costs[s..e].iter().sum::<f64>() / len as f64
 }
 
 #[cfg(test)]
@@ -598,31 +517,9 @@ mod tests {
         assert_eq!(b.seed, 0);
     }
 
-    /// The fast path must agree with the reference path field-for-field on
-    /// integer-valued costs, for every strategy.
-    #[test]
-    fn select_seed_with_matches_reference() {
-        let cost = |s: u64| ((s * 37 + 11) % 19) as f64;
-        for strategy in [
-            SeedStrategy::Exhaustive,
-            SeedStrategy::BitwiseCondExp,
-            SeedStrategy::FixedSubset(23),
-            SeedStrategy::SingleSeed(5),
-        ] {
-            let old = select_seed(8, strategy, cost);
-            let new = select_seed_with(8, strategy, || (), |s, _| cost(s));
-            assert_eq!(old.seed, new.seed, "{strategy:?}");
-            assert_eq!(old.cost, new.cost, "{strategy:?}");
-            assert_eq!(old.mean_cost, new.mean_cost, "{strategy:?}");
-            assert_eq!(old.min_cost, new.min_cost, "{strategy:?}");
-            assert_eq!(old.evaluated, new.evaluated, "{strategy:?}");
-            assert_eq!(old.trace, new.trace, "{strategy:?}");
-        }
-    }
-
     /// Worker count must not change the outcome (chunk merge is ordered).
     /// Exercised through the explicit-worker fold rather than the
-    /// `PARCOLOR_SEED_THREADS` env var: tests run multi-threaded in one
+    /// `PARCOLOR_THREADS` env var: tests run multi-threaded in one
     /// process, so mutating the environment would race other tests.
     #[test]
     fn fold_is_worker_count_invariant() {
@@ -641,9 +538,10 @@ mod tests {
         }
     }
 
-    /// A true block evaluator — writing the whole block at once — must be
-    /// indistinguishable from the reference scalar path for every
-    /// strategy, including block lengths that don't divide the range.
+    /// A block evaluator — writing the whole block at once — must be
+    /// indistinguishable from the [`select_seed`] oracle field-for-field
+    /// for every strategy, including block lengths that don't divide the
+    /// range.
     #[test]
     fn select_seed_blocks_matches_reference() {
         let cost = |s: u64| ((s * 37 + 11) % 19) as f64;
@@ -654,9 +552,10 @@ mod tests {
             SeedStrategy::SingleSeed(5),
         ] {
             let old = select_seed(8, strategy, cost);
-            let new = select_seed_blocks(
+            let new = select_seed_blocks_n(
                 8,
                 strategy,
+                0,
                 || (),
                 |s0, out: &mut [f64], _| {
                     assert!(out.len() <= SEED_BLOCK);
@@ -669,6 +568,7 @@ mod tests {
             assert_eq!(old.cost, new.cost, "{strategy:?}");
             assert_eq!(old.mean_cost, new.mean_cost, "{strategy:?}");
             assert_eq!(old.min_cost, new.min_cost, "{strategy:?}");
+            assert_eq!(old.evaluated, new.evaluated, "{strategy:?}");
             assert_eq!(old.trace, new.trace, "{strategy:?}");
         }
     }
@@ -679,17 +579,21 @@ mod tests {
     fn scratch_is_reused_across_seeds() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let factories = AtomicUsize::new(0);
-        let sel = select_seed_with(
+        let sel = select_seed_blocks_n(
             8,
             SeedStrategy::Exhaustive,
+            0,
             || {
                 factories.fetch_add(1, Ordering::Relaxed);
                 Vec::<u64>::new()
             },
-            |s, scratch| {
-                scratch.clear();
-                scratch.push(s);
-                (s % 7) as f64
+            |s0, costs: &mut [f64], scratch| {
+                for (i, c) in costs.iter_mut().enumerate() {
+                    let s = s0 + i as u64;
+                    scratch.clear();
+                    scratch.push(s);
+                    *c = (s % 7) as f64;
+                }
             },
         );
         assert_eq!(sel.seed, 0);
@@ -731,15 +635,19 @@ mod tests {
     /// at every worker count, for every strategy.
     #[test]
     fn explicit_worker_counts_are_deterministic() {
-        let cost = |s: u64| ((s * 131 + 17) % 23) as f64;
+        let eval_block = |s0: u64, out: &mut [f64], _: &mut ()| {
+            for (i, o) in out.iter_mut().enumerate() {
+                *o = (((s0 + i as u64) * 131 + 17) % 23) as f64;
+            }
+        };
         for strategy in [
             SeedStrategy::Exhaustive,
             SeedStrategy::BitwiseCondExp,
             SeedStrategy::FixedSubset(200),
         ] {
-            let reference = select_seed_with_n(9, strategy, 1, || (), |s, _| cost(s));
+            let reference = select_seed_blocks_n(9, strategy, 1, || (), eval_block);
             for workers in [2usize, 4, 8] {
-                let got = select_seed_with_n(9, strategy, workers, || (), |s, _| cost(s));
+                let got = select_seed_blocks_n(9, strategy, workers, || (), eval_block);
                 assert_eq!(reference.seed, got.seed, "{strategy:?} workers {workers}");
                 assert_eq!(reference.cost, got.cost, "{strategy:?} workers {workers}");
                 assert_eq!(reference.mean_cost, got.mean_cost, "{strategy:?}");

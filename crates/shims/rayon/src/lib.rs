@@ -58,8 +58,7 @@ pub mod prelude {
 }
 
 /// Number of worker threads the executor resolves for auto (`0`)
-/// requests: `PARCOLOR_THREADS`, then the deprecated
-/// `PARCOLOR_SEED_THREADS` alias, else all hardware threads.
+/// requests: `PARCOLOR_THREADS`, else all hardware threads.
 pub fn current_num_threads() -> usize {
     parcolor_exec::resolve_workers(0)
 }

@@ -3,7 +3,8 @@
 //! `parcolor_prg::hashing`).
 //!
 //! For every tape type — `CryptoTape`, `PrgTape` under both chunk
-//! assignments, and the `ForceScalar` adapter running the trait defaults —
+//! assignments, and the test-local `ForceScalar` adapter running the trait
+//! defaults —
 //! the batched `fill_words` / `fill_words_seq` / `fill_below` /
 //! `fill_bernoulli` must equal the scalar `word` / `below` / `bernoulli`
 //! calls element-for-element, over random node stripes and explicitly at
@@ -12,10 +13,33 @@
 //! `k ∈ 1..=4`.
 
 use parcolor_local::simd::{lane_eq_mask8, splitmix4, SPLITMIX_LANES};
-use parcolor_local::tape::{splitmix64, CryptoTape, ForceScalar, Randomness, MIX_LANES};
+use parcolor_local::tape::{splitmix64, CryptoTape, Randomness, MIX_LANES};
 use parcolor_prg::hashing::KWiseFamily;
 use parcolor_prg::{ChunkAssignment, Prg, PrgTape};
 use proptest::prelude::*;
+
+/// Oracle adapter forcing the scalar default batch methods of an inner
+/// tape: only [`Randomness::word`] is forwarded, so every `fill_*` call
+/// runs the trait defaults over the inner scalar mixer.
+struct ForceScalar<R>(R);
+
+impl<R: Randomness> Randomness for ForceScalar<R> {
+    fn word(&self, node: u32, stream: u64, idx: u32) -> u64 {
+        self.0.word(node, stream, idx)
+    }
+}
+
+#[test]
+fn force_scalar_is_transparent() {
+    let t = CryptoTape::new(17);
+    let s = ForceScalar(CryptoTape::new(17));
+    let nodes: Vec<u32> = (0..MIX_LANES as u32 + 1).collect();
+    let mut a = vec![0u64; nodes.len()];
+    let mut b = vec![0u64; nodes.len()];
+    t.fill_words(5, &nodes, 2, &mut a);
+    s.fill_words(5, &nodes, 2, &mut b);
+    assert_eq!(a, b);
+}
 
 /// Stripe lengths every property probes: the lane boundaries plus the
 /// full random stripe.
