@@ -40,7 +40,7 @@ fn main() {
             let cloud_dense = (clique_total as NodeId..g.n() as NodeId)
                 .filter(|&v| matches!(acd.class[v as usize], NodeClass::Dense(_)))
                 .count();
-            let violations = acd.violations(&g, &active, &table, &params).len();
+            let violations = acd.violations(&g, &table, &params).len();
             t.row(&[
                 s(size),
                 f2(eps),

@@ -86,34 +86,23 @@ impl Acd {
     }
 
     /// Validate Definition 3's four properties; returns human-readable
-    /// violations (used by tests and the E11 experiment).
-    pub fn violations(
-        &self,
-        g: &Graph,
-        active: &[bool],
-        table: &ParamTable,
-        p: &Params,
-    ) -> Vec<String> {
+    /// violations (used by tests and the E11 experiment).  Degrees are
+    /// the active degrees `table` was computed with.
+    pub fn violations(&self, g: &Graph, table: &ParamTable, p: &Params) -> Vec<String> {
         let mut out = Vec::new();
-        let act_deg = |v: NodeId| {
-            g.neighbors(v)
-                .iter()
-                .filter(|&&u| active[u as usize])
-                .count()
-        };
         for v in 0..self.class.len() as NodeId {
             match self.class[v as usize] {
                 NodeClass::Sparse => {
                     // Repaired nodes may be below the sparsity threshold;
                     // only flag wildly-dense "sparse" nodes (ζ = 0, d big).
                     let t = table.get(v);
-                    if t.sparsity <= 0.0 && act_deg(v) > 4 {
+                    if t.sparsity <= 0.0 && table.degree(v) > 4 {
                         out.push(format!("sparse node {v} has zero sparsity"));
                     }
                 }
                 NodeClass::Uneven => {
                     let t = table.get(v);
-                    if t.unevenness < p.eps_sp * act_deg(v) as f64 * 0.5 {
+                    if t.unevenness < p.eps_sp * table.degree(v) as f64 * 0.5 {
                         out.push(format!("uneven node {v} barely uneven"));
                     }
                 }
@@ -122,7 +111,7 @@ impl Acd {
         }
         for c in &self.cliques {
             for &v in &c.nodes {
-                let d = act_deg(v);
+                let d = table.degree(v);
                 if (d as f64) > (1.0 + p.eps_ac) * 2.0 * c.nodes.len() as f64 {
                     out.push(format!(
                         "clique {}: node {v} degree {d} ≫ clique size {}",
@@ -512,7 +501,7 @@ mod tests {
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let st = ColoringState::new(&inst);
         let table = compute_params(&g, &st, &nodes, &active);
-        let violations = acd.violations(&g, &active, &table, &Params::default());
+        let violations = acd.violations(&g, &table, &Params::default());
         assert!(violations.is_empty(), "{violations:?}");
     }
 

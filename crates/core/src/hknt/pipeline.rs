@@ -17,7 +17,7 @@ use crate::hknt::procs::{
 use crate::hknt::slack_color::{slack_color, SlackColorReport};
 use crate::hknt::vstart::identify_vstart;
 use crate::instance::ColoringState;
-use crate::node_params::compute_params;
+use crate::node_params::compute_params_on;
 use parcolor_local::graph::NodeId;
 use serde::Serialize;
 
@@ -85,7 +85,7 @@ pub fn color_middle(
         .charge_two_hop_collection(g, |v| active[v as usize]);
     runner.mpc.charge_rounds(4);
     runner.engine.charge(4, 0);
-    let table = compute_params(g, state, &stage, &active);
+    let table = compute_params_on(g, state, &stage, &active, params.workers);
     let acd = compute_acd(g, &stage, &active, &table, params);
     let vs = identify_vstart(g, state, &acd, &table, &active, params);
 
@@ -117,12 +117,6 @@ pub fn color_middle(
         .collect();
     let gs_nodes = live(runner, state, &gs_nodes);
     if !gs_nodes.is_empty() {
-        let act_deg = |v: NodeId| {
-            g.neighbors(v)
-                .iter()
-                .filter(|&&u| active[u as usize])
-                .count() as f64
-        };
         // SSP slack targets (HKNT Lemmas 10-18, scaled): sparse nodes must
         // earn slack proportional to their sparsity; uneven nodes rely on
         // later-colored high-degree neighbors (temporary slack) — auto.
@@ -130,7 +124,7 @@ pub fn color_middle(
             .iter()
             .map(|&v| {
                 if acd.class[v as usize] == NodeClass::Sparse {
-                    params.slack_frac * table.get(v).sparsity.min(act_deg(v))
+                    params.slack_frac * table.get(v).sparsity.min(table.degree(v) as f64)
                 } else {
                     0.0
                 }

@@ -7,8 +7,14 @@
 //! charges that cost through `parcolor-mpc`.
 
 use crate::instance::ColoringState;
-use parcolor_local::graph::{Graph, NodeId};
-use rayon::prelude::*;
+use parcolor_exec::{par_fill, par_fill_in, resolve_workers, Executor};
+use parcolor_local::graph::{sorted_intersection_size, Graph, NodeId};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+
+/// Node ids per stolen chunk of the parameter pass: large enough that a
+/// chunk's bookkeeping vanishes next to its 2-hop scans.
+pub(crate) const PARAM_CHUNK: usize = 1024;
 
 /// Definition 2 parameters for one node.
 #[derive(Clone, Copy, Debug, Default)]
@@ -32,6 +38,8 @@ pub struct NodeParams {
 pub struct ParamTable {
     /// Parameters indexed by node id (defaults for inactive nodes).
     pub per_node: Vec<NodeParams>,
+    /// Active degree by node id (0 outside the active mask).
+    degree: Vec<u32>,
 }
 
 impl ParamTable {
@@ -39,34 +47,321 @@ impl ParamTable {
     pub fn get(&self, v: NodeId) -> &NodeParams {
         &self.per_node[v as usize]
     }
+
+    /// Residual degree `d(v)` of an active `v` within the active set
+    /// (the stage's graph); 0 for a node outside the mask.
+    #[inline]
+    pub fn degree(&self, v: NodeId) -> usize {
+        self.degree[v as usize] as usize
+    }
 }
 
 /// Is `u` an *active uncolored* node for the purposes of the residual
 /// graph?  Procedures pass the stage's membership mask.
 pub type ActiveMask<'a> = &'a [bool];
 
-/// Residual degree of `v` *within the active set* (the stage's graph).
-pub fn active_degree(g: &Graph, active: ActiveMask, v: NodeId) -> usize {
-    g.neighbors(v)
-        .iter()
-        .filter(|&&u| active[u as usize])
-        .count()
+/// A set of colors with an `f64` mass per color, open-addressed and
+/// sized by how many colors it holds — never by a color value, so sparse
+/// list colors up to `u32::MAX − 1` cost nothing extra.  It doubles when
+/// more than half full.  A slot is live only while its tag equals the
+/// table's current tag, so [`ColorTable::reset`] is a tag bump rather
+/// than a clear.
+///
+/// Colors come from input palettes, so slots are chosen by
+/// multiply-shift hashing with a random odd multiplier per table: crafted
+/// colors cannot force every probe into one cluster.  No result depends on
+/// the slot layout — membership is exact and [`ColorTable::entries`]
+/// follows insertion order.
+#[derive(Clone, Debug)]
+pub(crate) struct ColorTable {
+    keys: Vec<u32>,
+    tags: Vec<u32>,
+    mass: Vec<f64>,
+    /// Live slots in insertion order.
+    live: Vec<u32>,
+    tag: u32,
+    /// Random odd multiplier of the slot hash.
+    mult: u64,
+    /// `64 − log2(capacity)`: multiply-shift keeps the top bits.
+    shift: u32,
+}
+
+impl ColorTable {
+    /// An empty table with room for `colors` distinct colors before it
+    /// first grows.
+    pub(crate) fn with_capacity(colors: usize) -> Self {
+        let cap = (2 * colors).next_power_of_two().max(8);
+        ColorTable {
+            keys: vec![0; cap],
+            tags: vec![0; cap],
+            mass: vec![0.0; cap],
+            live: Vec::new(),
+            tag: 1,
+            mult: RandomState::new().hash_one(0u64) | 1,
+            shift: 64 - cap.trailing_zeros(),
+        }
+    }
+
+    /// Forget every color.
+    pub(crate) fn reset(&mut self) {
+        self.live.clear();
+        if self.tag == u32::MAX {
+            self.tags.fill(0);
+            self.tag = 1;
+        } else {
+            self.tag += 1;
+        }
+    }
+
+    /// Double the capacity, keeping every color, its mass and the
+    /// insertion order.
+    fn grow(&mut self) {
+        let cap = 2 * self.keys.len();
+        let keys = std::mem::replace(&mut self.keys, vec![0; cap]);
+        let mass = std::mem::replace(&mut self.mass, vec![0.0; cap]);
+        self.tags = vec![0; cap];
+        self.tag = 1;
+        self.shift = 64 - cap.trailing_zeros();
+        for i in std::mem::take(&mut self.live) {
+            let j = self.claim(keys[i as usize]);
+            self.mass[j] = mass[i as usize];
+        }
+    }
+
+    /// The slot holding `c`, or the empty slot where it would go.
+    #[inline]
+    fn slot(&self, c: u32) -> Result<usize, usize> {
+        let mask = self.keys.len() - 1;
+        let mut i = ((c as u64).wrapping_mul(self.mult) >> self.shift) as usize;
+        loop {
+            if self.tags[i] != self.tag {
+                return Err(i);
+            }
+            if self.keys[i] == c {
+                return Ok(i);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The slot of `c`, inserting it at mass 0 if absent.
+    #[inline]
+    fn claim(&mut self, c: u32) -> usize {
+        match self.slot(c) {
+            Ok(i) => i,
+            // Keep the load at most 1/2, so probes stay short and `slot`
+            // always finds an empty slot.
+            Err(_) if 2 * (self.live.len() + 1) > self.keys.len() => {
+                self.grow();
+                self.claim(c)
+            }
+            Err(i) => {
+                self.keys[i] = c;
+                self.tags[i] = self.tag;
+                self.mass[i] = 0.0;
+                self.live.push(i as u32);
+                i
+            }
+        }
+    }
+
+    /// Insert `c`.
+    #[inline]
+    pub(crate) fn insert(&mut self, c: u32) {
+        self.claim(c);
+    }
+
+    /// Whether `c` is in the set.
+    #[inline]
+    pub(crate) fn contains(&self, c: u32) -> bool {
+        self.slot(c).is_ok()
+    }
+
+    /// Add `w` to the mass of `c` (inserting it at mass 0 first).
+    #[inline]
+    pub(crate) fn add(&mut self, c: u32, w: f64) {
+        let i = self.claim(c);
+        self.mass[i] += w;
+    }
+
+    /// `(color, mass)` of every color, in insertion order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.live
+            .iter()
+            .map(|&i| (self.keys[i as usize], self.mass[i as usize]))
+    }
+}
+
+/// Active degree of every node (0 outside `active`), one pool pass.
+fn active_degrees(g: &Graph, active: ActiveMask, workers: usize) -> Vec<u32> {
+    let mut degree = vec![0u32; g.n()];
+    par_fill(
+        Executor::global(),
+        workers,
+        &mut degree,
+        4 * PARAM_CHUNK,
+        |start, stripe| {
+            for (i, d) in stripe.iter_mut().enumerate() {
+                let v = (start + i) as NodeId;
+                if active[v as usize] {
+                    *d = g
+                        .neighbors(v)
+                        .iter()
+                        .filter(|&&u| active[u as usize])
+                        .count() as u32;
+                }
+            }
+        },
+    );
+    degree
+}
+
+/// One worker's reusable buffers for the parameter pass.
+struct ParamScratch {
+    /// `v`'s active neighbors, ascending.
+    nv: Vec<NodeId>,
+    /// `Ψ(v)`.
+    pv: ColorTable,
 }
 
 /// Compute Definition 2's parameters for all nodes in `nodes` (which must
 /// be uncolored and marked in `active`).  Degrees, sparsity and palettes
-/// are all taken in the residual graph induced by `active`.
+/// are all taken in the residual graph induced by `active`.  Runs on the
+/// global pool at the auto worker count.
+///
+/// Time `O(n + Σ_{v∈nodes} Σ_{u∈N_act(v)} (d(u) + d(v) + |Ψ(u)|))`, split
+/// over the workers; auxiliary space `O(n + workers · (Δ + max p(v)))`.
+/// Active degrees are counted once into the table; `m(N(v))` merges each
+/// sorted `N(u)` with the sorted active `N(v)`, and `|Ψ(u) \ Ψ(v)|`
+/// probes a tag-stamped open-addressed color set holding `Ψ(v)`.
+/// `discrepancy` and `unevenness` add their terms in `N(v)`'s ascending
+/// order, so every value is bit-identical to a sequential pass at every
+/// worker count.
 pub fn compute_params(
     g: &Graph,
     state: &ColoringState,
     nodes: &[NodeId],
     active: ActiveMask,
 ) -> ParamTable {
+    compute_params_on(g, state, nodes, active, 0)
+}
+
+/// [`compute_params`] on `workers` pool workers (`0` = auto).
+pub(crate) fn compute_params_on(
+    g: &Graph,
+    state: &ColoringState,
+    nodes: &[NodeId],
+    active: ActiveMask,
+    workers: usize,
+) -> ParamTable {
     let n = g.n();
+    let workers = resolve_workers(workers).min(n.div_ceil(PARAM_CHUNK)).max(1);
+    let degree = active_degrees(g, active, workers);
+    let mut member = vec![false; n];
+    for &v in nodes {
+        member[v as usize] = true;
+    }
+    let max_p = nodes
+        .iter()
+        .map(|&v| state.palette_size(v))
+        .max()
+        .unwrap_or(0);
+    let mut scratches: Vec<ParamScratch> = (0..workers)
+        .map(|_| ParamScratch {
+            nv: Vec::new(),
+            pv: ColorTable::with_capacity(max_p),
+        })
+        .collect();
     let mut per_node = vec![NodeParams::default(); n];
-    let computed: Vec<(NodeId, NodeParams)> = nodes
-        .par_iter()
-        .map(|&v| {
+    par_fill_in(
+        Executor::global(),
+        &mut scratches,
+        &mut per_node,
+        PARAM_CHUNK,
+        |start, stripe, scratch| {
+            for (i, out) in stripe.iter_mut().enumerate() {
+                let v = (start + i) as NodeId;
+                if member[v as usize] {
+                    *out = node_params(g, state, active, &degree, v, scratch);
+                }
+            }
+        },
+    );
+    ParamTable { per_node, degree }
+}
+
+/// Definition 2's parameters of one node `v ∈ nodes`.
+fn node_params(
+    g: &Graph,
+    state: &ColoringState,
+    active: ActiveMask,
+    degree: &[u32],
+    v: NodeId,
+    scratch: &mut ParamScratch,
+) -> NodeParams {
+    let nv = &mut scratch.nv;
+    nv.clear();
+    nv.extend(g.neighbors(v).iter().filter(|&&u| active[u as usize]));
+    let d = nv.len();
+    // m(N(v)) within the active subgraph: `nv` holds only active nodes,
+    // so intersecting with the raw N(u) counts active neighbors alone.
+    let m_nv: usize = nv
+        .iter()
+        .map(|&u| sorted_intersection_size(g.neighbors(u), nv))
+        .sum::<usize>()
+        / 2;
+    let sparsity = if d >= 2 {
+        let pairs = (d * (d - 1) / 2) as f64;
+        (pairs - m_nv as f64) / d as f64
+    } else {
+        0.0
+    };
+    let pv = &mut scratch.pv;
+    let own = state.palette(v);
+    pv.reset();
+    for &c in own {
+        pv.insert(c);
+    }
+    let mut discrepancy = 0.0;
+    let mut unevenness = 0.0;
+    for &u in nv.iter() {
+        let pu = state.palette(u);
+        if !pu.is_empty() {
+            let outside = pu.iter().filter(|&&c| !pv.contains(c)).count();
+            discrepancy += outside as f64 / pu.len() as f64;
+        }
+        let du = degree[u as usize] as usize;
+        unevenness += (du.saturating_sub(d)) as f64 / (du as f64 + 1.0);
+    }
+    NodeParams {
+        slack: state.palette_size(v) as i64 - d as i64,
+        sparsity,
+        discrepancy,
+        unevenness,
+        slackability: discrepancy + sparsity,
+        strong_slackability: unevenness + sparsity,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::instance::{D1lcInstance, PaletteArena};
+    use parcolor_local::graph::Graph;
+    use parcolor_local::tape::SplitMix;
+    use proptest::prelude::*;
+
+    /// The reference: a direct per-node transcription of Definition 2
+    /// that recounts every neighbor's active degree and binary-searches
+    /// a sorted copy of `Ψ(v)`.
+    fn oracle_params(
+        g: &Graph,
+        state: &ColoringState,
+        nodes: &[NodeId],
+        active: ActiveMask,
+    ) -> Vec<NodeParams> {
+        let mut per_node = vec![NodeParams::default(); g.n()];
+        for &v in nodes {
             let nv: Vec<NodeId> = g
                 .neighbors(v)
                 .iter()
@@ -74,9 +369,6 @@ pub fn compute_params(
                 .filter(|&u| active[u as usize])
                 .collect();
             let d = nv.len();
-            let p = state.palette_size(v);
-            let slack = p as i64 - d as i64;
-            // m(N(v)) within the active subgraph.
             let m_nv: usize = nv
                 .iter()
                 .map(|&u| {
@@ -93,11 +385,6 @@ pub fn compute_params(
             } else {
                 0.0
             };
-            // Disparity sums: |Ψ(u) \ Ψ(v)|.  Residual palettes are
-            // unsorted (swap-remove), so sort a local copy of v's palette
-            // once and probe with binary search — palettes are small and
-            // this sits inside the sparsity loop, where a hash set's
-            // allocation and hashing overhead dominates.
             let mut pv: Vec<u32> = state.palette(v).to_vec();
             pv.sort_unstable();
             let mut discrepancy = 0.0;
@@ -115,28 +402,131 @@ pub fn compute_params(
                     .count();
                 unevenness += (du.saturating_sub(d)) as f64 / (du as f64 + 1.0);
             }
-            let params = NodeParams {
-                slack,
+            per_node[v as usize] = NodeParams {
+                slack: state.palette_size(v) as i64 - d as i64,
                 sparsity,
                 discrepancy,
                 unevenness,
                 slackability: discrepancy + sparsity,
                 strong_slackability: unevenness + sparsity,
             };
-            (v, params)
-        })
-        .collect();
-    for (v, p) in computed {
-        per_node[v as usize] = p;
+        }
+        per_node
     }
-    ParamTable { per_node }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::instance::D1lcInstance;
-    use parcolor_local::graph::Graph;
+    fn bits(p: &NodeParams) -> [u64; 6] {
+        [
+            p.slack as u64,
+            p.sparsity.to_bits(),
+            p.discrepancy.to_bits(),
+            p.unevenness.to_bits(),
+            p.slackability.to_bits(),
+            p.strong_slackability.to_bits(),
+        ]
+    }
+
+    /// A random list instance, partially colored, with an active mask
+    /// over uncolored nodes and `nodes` a strict subset of it.  Colors
+    /// come from a small pool spread over `0..=u32::MAX − 1`, so palettes
+    /// overlap while color values stay sparse.
+    fn random_stage(seed: u64) -> (Graph, ColoringState, Vec<NodeId>, Vec<bool>) {
+        let mut rng = SplitMix::new(seed);
+        let n = 2 + rng.below(70) as usize;
+        let m = rng.below(4 * n as u64) as usize;
+        let mut edges = Vec::new();
+        for _ in 0..m {
+            let a = rng.below(n as u64) as NodeId;
+            let b = rng.below(n as u64) as NodeId;
+            if a != b {
+                edges.push((a, b));
+            }
+        }
+        let g = Graph::from_edges(n, &edges);
+        let mut pool: Vec<u32> = (0..12).map(|_| rng.below(u32::MAX as u64) as u32).collect();
+        pool.push(u32::MAX - 1);
+        pool.push(0);
+        let lists: Vec<Vec<u32>> = (0..n as NodeId)
+            .map(|v| {
+                let len = g.degree(v) + 1 + rng.below(3) as usize;
+                let mut list: Vec<u32> = (0..len)
+                    .map(|_| pool[rng.below(pool.len() as u64) as usize])
+                    .collect();
+                // Pad with colors private to `v` so the deduplicated
+                // palette keeps at least degree+1 colors.
+                list.extend((0..len as u32).map(|i| u32::MAX - 2 - (v * 128 + i)));
+                list
+            })
+            .collect();
+        let inst = D1lcInstance::new(g.clone(), PaletteArena::from_lists(&lists));
+        let mut state = ColoringState::new(&inst);
+        // Color a random independent set with each node's first color.
+        let mut taken = vec![false; n];
+        let mut adoptions = Vec::new();
+        for v in 0..n as NodeId {
+            if rng.below(4) == 0 && !g.neighbors(v).iter().any(|&u| taken[u as usize]) {
+                taken[v as usize] = true;
+                adoptions.push((v, state.palette(v)[0]));
+            }
+        }
+        state.apply_adoptions(&g, &adoptions);
+        let active: Vec<bool> = (0..n as NodeId)
+            .map(|v| !state.is_colored(v) && rng.below(5) != 0)
+            .collect();
+        let mut nodes: Vec<NodeId> = (0..n as NodeId)
+            .filter(|&v| active[v as usize] && rng.below(4) != 0)
+            .collect();
+        if nodes.len() == active.iter().filter(|&&a| a).count() {
+            nodes.pop();
+        }
+        (g, state, nodes, active)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn pool_pass_matches_the_oracle_bit_for_bit(seed in any::<u64>(), workers in 1usize..5) {
+            let (g, state, nodes, active) = random_stage(seed);
+            let oracle = oracle_params(&g, &state, &nodes, &active);
+            let t = compute_params_on(&g, &state, &nodes, &active, workers);
+            for v in 0..g.n() as NodeId {
+                prop_assert_eq!(bits(t.get(v)), bits(&oracle[v as usize]));
+                let naive = if active[v as usize] {
+                    g.neighbors(v).iter().filter(|&&u| active[u as usize]).count()
+                } else {
+                    0
+                };
+                prop_assert_eq!(t.degree(v), naive);
+            }
+        }
+    }
+
+    #[test]
+    fn color_table_grows_and_resets() {
+        let mut t = ColorTable::with_capacity(2);
+        t.add(u32::MAX - 1, 0.5);
+        t.add(7, 1.0);
+        t.add(u32::MAX - 1, 0.25);
+        assert!(t.contains(u32::MAX - 1) && t.contains(7) && !t.contains(0));
+        // Growing from 8 slots to 256 keeps colors, masses and order.
+        let spread = |c: u32| c.wrapping_mul(0x0101_0101);
+        for c in 0..100 {
+            t.add(spread(c), 1.0);
+        }
+        let want: Vec<(u32, f64)> = [(u32::MAX - 1, 0.75), (7, 1.0)]
+            .into_iter()
+            .chain((0..100).map(|c| (spread(c), 1.0)))
+            .collect();
+        assert_eq!(t.entries().collect::<Vec<_>>(), want);
+        t.reset();
+        assert_eq!(t.entries().count(), 0);
+        assert!(!t.contains(7) && !t.contains(spread(3)));
+        // A wrapping tag clears the stamps instead of reviving old slots.
+        t.insert(5);
+        t.tag = u32::MAX;
+        t.reset();
+        assert!(!t.contains(5));
+    }
 
     fn mask(n: usize, nodes: &[NodeId]) -> Vec<bool> {
         let mut m = vec![false; n];
@@ -214,8 +604,9 @@ mod tests {
         // Only 0 and 1 active: node 0's active degree is 1.
         let nodes: Vec<NodeId> = vec![0, 1];
         let act = mask(3, &nodes);
-        assert_eq!(active_degree(&g, &act, 0), 1);
         let t = compute_params(&g, &st, &nodes, &act);
+        assert_eq!(t.degree(0), 1);
+        assert_eq!(t.degree(2), 0, "outside the mask");
         // slack uses residual palette (3 colors) minus active degree 1 = 2
         assert_eq!(t.get(0).slack, 2);
     }

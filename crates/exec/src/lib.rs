@@ -12,9 +12,10 @@
 //! ## The executor contract
 //!
 //! Every parallel entry point ([`par_fold`], [`par_fold_in`],
-//! [`par_map_chunks`], [`par_fill`]) imposes the same rules on its
-//! closures; violating any of them makes results worker-count- or
-//! steal-order-dependent (or unsound, for the scatter paths):
+//! [`par_map_chunks`], [`par_fill`], [`par_fill_in`]) imposes the same
+//! rules on its closures; violating any of them makes results
+//! worker-count- or steal-order-dependent (or unsound, for the scatter
+//! paths):
 //!
 //! * **Purity.**  `eval`/`fill` must be pure functions of their index
 //!   range (plus shared read-only captures).  Which worker evaluates
@@ -578,15 +579,58 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let len = out.len();
-    let scatter = ScatterMut::new(out);
-    let scatter = &scatter;
-    par_map_chunks(pool, workers, len, chunk, move |start, clen| {
-        // SAFETY: chunks are disjoint, so the reconstructed sub-slices
-        // never overlap across workers.
-        let stripe = unsafe { scatter.stripe_mut(start, clen) };
-        fill(start, stripe);
+    let mut units = vec![(); workers.clamp(1, MAX_WORKERS)];
+    par_fill_in(pool, &mut units, out, chunk, |start, stripe, _| {
+        fill(start, stripe)
     });
+}
+
+/// [`par_fill`] with one scratch per worker taken from `scratches`
+/// (worker count = `scratches.len()`): `fill(start, stripe, scratch)`.
+/// The scratch-ownership rule of the crate docs applies — a stripe's
+/// values may not depend on what an earlier stripe left in the scratch.
+pub fn par_fill_in<T, S, F>(
+    pool: &Executor,
+    scratches: &mut [S],
+    out: &mut [T],
+    chunk: usize,
+    fill: F,
+) where
+    T: Send,
+    S: Send,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
+{
+    assert!(chunk > 0);
+    assert!(
+        !scratches.is_empty(),
+        "par_fill_in needs a scratch per worker"
+    );
+    let len = out.len();
+    if len == 0 {
+        return;
+    }
+    let workers = scratches.len().min(MAX_WORKERS);
+    let nchunks = len.div_ceil(chunk);
+    let next = AtomicU64::new(0);
+    let cells = SharedScratches::new(scratches);
+    let scatter = ScatterMut::new(out);
+    let run = |w: usize| {
+        // SAFETY: worker ids are unique per call.
+        let scratch = unsafe { cells.get(w) };
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed) as usize;
+            if c >= nchunks {
+                break;
+            }
+            let start = c * chunk;
+            let clen = (len - start).min(chunk);
+            // SAFETY: chunks are disjoint, so the reconstructed
+            // sub-slices never overlap across workers.
+            let stripe = unsafe { scatter.stripe_mut(start, clen) };
+            fill(start, stripe, scratch);
+        }
+    };
+    pool.run_on(workers, &run);
 }
 
 // ---------------------------------------------------------------------
@@ -786,6 +830,26 @@ mod tests {
                 }
             });
             assert_eq!(out, reference, "workers = {workers}");
+        }
+    }
+
+    #[test]
+    fn par_fill_in_gives_each_worker_its_own_scratch() {
+        let pool = Executor::global();
+        let fill = |start: usize, stripe: &mut [u64], seen: &mut u64| {
+            for (i, o) in stripe.iter_mut().enumerate() {
+                *o = ((start + i) as u64).wrapping_mul(0x9E37_79B9);
+            }
+            *seen += stripe.len() as u64;
+        };
+        let mut reference = vec![0u64; 5_000];
+        par_fill_in(pool, &mut [0u64], &mut reference, 64, fill);
+        for workers in [2usize, 4, 8] {
+            let mut scratches = vec![0u64; workers];
+            let mut out = vec![0u64; 5_000];
+            par_fill_in(pool, &mut scratches, &mut out, 64, fill);
+            assert_eq!(out, reference, "workers = {workers}");
+            assert_eq!(scratches.iter().sum::<u64>(), 5_000, "every index once");
         }
     }
 

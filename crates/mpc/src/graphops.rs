@@ -8,8 +8,8 @@
 //! per-node assignment.
 //!
 //! `NodeMpc` charges these operations: computation is carried out by the
-//! caller with rayon over nodes; the accountant verifies the degree bound,
-//! charges rounds/messages, and records per-node-machine space against the
+//! caller; the accountant verifies the degree bound, charges
+//! rounds/messages, and records per-node-machine space against the
 //! budget `s`.  This keeps the simulator honest about the two quantities
 //! the paper's theorems constrain (rounds, words) without forcing every
 //! neighbor scan through a mailbox data structure.
@@ -17,7 +17,6 @@
 use crate::config::MpcConfig;
 use crate::metrics::MpcMetrics;
 use parcolor_local::graph::{Graph, NodeId};
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// Accountant for Lemma 17-style per-node MPC operations.
@@ -60,42 +59,45 @@ impl NodeMpc {
     /// the number of active nodes.
     pub fn charge_neighbor_broadcast<A>(&self, g: &Graph, active: A, width: usize) -> usize
     where
-        A: Fn(NodeId) -> bool + Sync,
+        A: Fn(NodeId) -> bool,
     {
-        let s = self.cfg.local_space() as u64;
-        let (count, msgs) = (0..g.n() as NodeId)
-            .into_par_iter()
-            .filter(|&v| active(v))
-            .map(|v| {
-                let w = (g.degree(v) * width) as u64;
-                self.metrics.observe_machine(w, s);
-                (1usize, w)
-            })
-            .fold(|| (0usize, 0u64), |a, b| (a.0 + b.0, a.1 + b.1))
-            .reduce(|| (0usize, 0u64), |a, b| (a.0 + b.0, a.1 + b.1));
-        self.metrics.add_rounds(1);
-        self.metrics.add_messages(msgs);
-        count
+        self.charge_per_node(g, active, |v| (g.degree(v) * width) as u64)
     }
 
     /// Charge the `O(1)`-round collection of 2-hop neighborhoods for all
     /// active nodes (Lemma 17, second bullet): node `v`'s machine receives
     /// `Σ_{u∈N(v)} d(u)` words.
+    ///
+    /// Time `O(n + Σ_{v active} d(v))` in one sequential pass; auxiliary
+    /// space `O(1)`.  The words are integers, so the totals do not depend
+    /// on the scan order.
     pub fn charge_two_hop_collection<A>(&self, g: &Graph, active: A) -> usize
     where
-        A: Fn(NodeId) -> bool + Sync,
+        A: Fn(NodeId) -> bool,
+    {
+        self.charge_per_node(g, active, |v| {
+            g.neighbors(v).iter().map(|&u| g.degree(u) as u64).sum()
+        })
+    }
+
+    /// One round in which each active node's machine holds `words(v)`
+    /// words and sends them: count, traffic, peak and over-budget
+    /// machines are folded in a plain loop and published once.
+    fn charge_per_node<A, W>(&self, g: &Graph, active: A, words: W) -> usize
+    where
+        A: Fn(NodeId) -> bool,
+        W: Fn(NodeId) -> u64,
     {
         let s = self.cfg.local_space() as u64;
-        let (count, msgs) = (0..g.n() as NodeId)
-            .into_par_iter()
-            .filter(|&v| active(v))
-            .map(|v| {
-                let w: u64 = g.neighbors(v).iter().map(|&u| g.degree(u) as u64).sum();
-                self.metrics.observe_machine(w, s);
-                (1usize, w)
-            })
-            .fold(|| (0usize, 0u64), |a, b| (a.0 + b.0, a.1 + b.1))
-            .reduce(|| (0usize, 0u64), |a, b| (a.0 + b.0, a.1 + b.1));
+        let (mut count, mut msgs, mut peak, mut over) = (0usize, 0u64, 0u64, 0u64);
+        for v in (0..g.n() as NodeId).filter(|&v| active(v)) {
+            let w = words(v);
+            count += 1;
+            msgs += w;
+            peak = peak.max(w);
+            over += (w > s) as u64;
+        }
+        self.metrics.observe_machines(peak, over);
         self.metrics.add_rounds(1);
         self.metrics.add_messages(msgs);
         count
@@ -190,6 +192,48 @@ mod tests {
         let mpc = NodeMpc::new(MpcConfig::new(50, 49, 0.3).with_space_constant(1.0));
         mpc.charge_neighbor_broadcast(&g, |_| true, 1);
         assert!(mpc.metrics().budget_violations() > 0);
+    }
+
+    #[test]
+    fn folded_charges_equal_per_node_observation() {
+        // Center degree 30, leaves degree 1, a 2-path hanging off leaf 1.
+        let mut edges: Vec<_> = (1..31 as NodeId).map(|i| (0, i)).collect();
+        edges.extend([(1, 31), (31, 32)]);
+        let g = Graph::from_edges(33, &edges);
+        let cfg = MpcConfig::new(33, 30, 0.5).with_space_constant(2.0);
+        let s = cfg.local_space() as u64;
+        let active = |v: NodeId| v % 3 != 2;
+        let broadcast = |v: NodeId| 2 * g.degree(v) as u64;
+        let two_hop = |v: NodeId| g.neighbors(v).iter().map(|&u| g.degree(u) as u64).sum();
+
+        let mpc = NodeMpc::new(cfg);
+        mpc.metrics().begin_phase("stage");
+        assert_eq!(mpc.charge_neighbor_broadcast(&g, active, 2), 22);
+        assert_eq!(mpc.charge_two_hop_collection(&g, active), 22);
+
+        let reference = MpcMetrics::new();
+        reference.begin_phase("stage");
+        for words in [&broadcast as &dyn Fn(NodeId) -> u64, &two_hop] {
+            for v in (0..33).filter(|&v| active(v)) {
+                reference.observe_machine(words(v), s);
+                reference.add_messages(words(v));
+            }
+            reference.add_rounds(1);
+        }
+        let (got, want) = (mpc.metrics().snapshot(), reference.snapshot());
+        assert!(
+            want.budget_violations > 0,
+            "some machine must exceed s = {s}"
+        );
+        assert_eq!(got.max_machine_words, want.max_machine_words);
+        assert_eq!(got.budget_violations, want.budget_violations);
+        assert_eq!(got.messages, want.messages);
+        assert_eq!(got.rounds, want.rounds);
+        assert_eq!(
+            got.phases[0].max_machine_words,
+            want.phases[0].max_machine_words
+        );
+        assert_eq!(got.phases[0].messages, want.phases[0].messages);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Round/space/message accounting for MPC executions.
 //!
-//! Accumulation happens from rayon-parallel per-machine closures, so the
-//! peak trackers are atomics (fetch_max) and the cold-path phase log sits
+//! Accumulation may happen from several threads at once (callers fold
+//! per-machine observations and publish them with
+//! [`MpcMetrics::observe_machines`]), so the peak trackers are atomics
+//! (fetch_max) and the cold-path phase log sits
 //! behind a `parking_lot` mutex, per the session's concurrency guide: no
 //! locks on hot paths, atomics with explicit orderings where contention is
 //! possible.
@@ -76,6 +78,17 @@ impl MpcMetrics {
         if words > budget {
             self.budget_violations.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Record a batch of machines the caller folded itself: the largest
+    /// holds `peak` words and `over_budget` of them exceeded their
+    /// budget.  Equivalent to one [`MpcMetrics::observe_machine`] per
+    /// machine, at two atomic updates per batch.
+    pub fn observe_machines(&self, peak: u64, over_budget: u64) {
+        self.max_machine_words.fetch_max(peak, Ordering::Relaxed);
+        self.phase_peak.fetch_max(peak, Ordering::Relaxed);
+        self.budget_violations
+            .fetch_add(over_budget, Ordering::Relaxed);
     }
 
     /// Record a global residency level (sum over machines).
