@@ -105,7 +105,10 @@ pub struct PickPlane {
     pub nodes: Vec<NodeId>,
     /// Per-node draw bounds gathered for the current stripe.
     pub bounds: Vec<u64>,
-    /// Raw words or bounded draws, aligned with the stripe.
+    /// Raw words or bounded draws, aligned with the stripe.  A block
+    /// evaluator that draws every seed lane at once stores them lane after
+    /// lane and walks the active nodes in bounded stripes, so this never
+    /// holds all lanes of all active nodes.
     pub vals: Vec<u64>,
     /// Bernoulli outcomes, aligned with the stripe.
     pub bits: Vec<bool>,
@@ -502,7 +505,13 @@ pub type BlockEval<'a> = &'a (dyn Fn(u64, &mut [f64], &mut SimScratch) + Sync);
 /// of its seed and the reduce is grouping-invariant, so any backend
 /// that folds each seed exactly once (deduplicating retries) satisfies
 /// this by construction.  `n` sizes the per-worker [`SimScratch`]
-/// arenas.
+/// arenas.  The local backend builds one arena per worker of the search
+/// (at most one per [`SEED_BLOCK`] of the fold, see
+/// `parcolor_prg::seed_workers`) and drops them when the search returns.
+/// An arena holds the dense-by-node planes plus draw staging for at most
+/// one seed lane of active nodes (`TryRandomColor`, which draws every
+/// lane together, streams them through fixed node stripes), so each
+/// extra worker costs `O(n)` words whatever the block width.
 ///
 /// Searches within one solve are issued sequentially and in a
 /// deterministic order: `Solver::solve_rec` walks the partition bins in a
@@ -799,7 +808,7 @@ impl<'g> Runner<'g> {
         let failures = proc.ssp_failures(state, &outcome);
         let adopted = outcome.adoptions.len();
         self.last_aux = outcome.aux.clone();
-        state.apply_adoptions(self.graph, &outcome.adoptions);
+        state.apply_adoptions_on(self.graph, &outcome.adoptions, self.workers);
         for &v in &failures {
             debug_assert!(
                 !state.is_colored(v),

@@ -30,6 +30,11 @@ const S_PERM: u64 = 3;
 /// override runs its sequential scan.
 const PAR_STRIPE: usize = 1024;
 
+/// Active-node stripe through which `TryRandomColor::seed_cost_block`
+/// streams its seed-lane draws.  Public so the equivalence tests can
+/// build instances that cross several stripe boundaries.
+pub const LANE_STRIPE: usize = 4096;
+
 /// Strong-success-property variants used across the pipeline.
 #[derive(Clone, Debug)]
 pub enum SspMode {
@@ -599,37 +604,37 @@ impl NormalProcedure for TryRandomColor<'_> {
         debug_assert_eq!(tapes.len(), costs.len());
         scratch.begin();
         let mut plane = std::mem::take(&mut scratch.plane);
-        // Bounds gathered once for the whole block.
-        let n_active = self.set.active.len();
-        plane.bounds.clear();
-        plane.bounds.extend(
-            self.set
-                .active
-                .iter()
-                .map(|&v| state.palette(v).len() as u64),
-        );
         plane.soa.resize(state.n(), [0u32; SEED_BLOCK]);
-        // All lanes' draws land in one stripe-major buffer
-        // (lane s at offset s·n_active) …
-        plane.vals.resize(n_active * tapes.len(), 0);
         let stream = S_PICK ^ self.round_tag << 8;
-        for (s, tape) in tapes.iter().enumerate() {
-            let out = &mut plane.vals[s * n_active..(s + 1) * n_active];
-            tape.fill_below(stream, &self.set.active, 0, &plane.bounds, out);
-        }
-        // … so the pick map resolves each node's palette once and
-        // writes its whole seed-lane row (pad lanes get the node's
-        // own id, which can never collide across an edge).
-        let vals = &plane.vals;
-        let soa = &mut plane.soa;
-        for (i, &v) in self.set.active.iter().enumerate() {
-            let pal = state.palette(v);
-            let lanes = &mut soa[v as usize];
-            for (s, lane) in lanes.iter_mut().take(tapes.len()).enumerate() {
-                *lane = pal[vals[s * n_active + i] as usize];
+        // The draws stream through one node stripe at a time, so `bounds`
+        // and `vals` stay a few hundred KB whatever the active count; each
+        // draw depends only on its own node, so the stripe geometry cannot
+        // change a pick.
+        for nodes in self.set.active.chunks(LANE_STRIPE) {
+            let len = nodes.len();
+            plane.bounds.clear();
+            plane
+                .bounds
+                .extend(nodes.iter().map(|&v| state.palette(v).len() as u64));
+            // All lanes' draws land in one lane-major buffer (lane s at
+            // offset s·len) …
+            plane.vals.resize(len * tapes.len(), 0);
+            for (s, tape) in tapes.iter().enumerate() {
+                let out = &mut plane.vals[s * len..(s + 1) * len];
+                tape.fill_below(stream, nodes, 0, &plane.bounds, out);
             }
-            for lane in lanes.iter_mut().skip(tapes.len()) {
-                *lane = v;
+            // … so the pick map resolves each node's palette once and
+            // writes its whole seed-lane row (pad lanes get the node's
+            // own id, which can never collide across an edge).
+            for (i, &v) in nodes.iter().enumerate() {
+                let pal = state.palette(v);
+                let lanes = &mut plane.soa[v as usize];
+                for (s, lane) in lanes.iter_mut().take(tapes.len()).enumerate() {
+                    *lane = pal[plane.vals[s * len + i] as usize];
+                }
+                for lane in lanes.iter_mut().skip(tapes.len()) {
+                    *lane = v;
+                }
             }
         }
         // One lane-parallel clash scan for the whole block: each

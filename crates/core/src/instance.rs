@@ -9,8 +9,14 @@
 //! [`ColoringState`] maintains exactly that residual view incrementally
 //! and machine-checks the invariant.
 
+use parcolor_exec::{par_fold, par_map_chunks, par_sort_unstable, Executor, ScatterMut};
 use parcolor_local::graph::{Graph, NodeId};
-use rayon::prelude::*;
+
+/// Adoptions (conflict check) or affected nodes (palette pull) dealt per
+/// steal by [`ColoringState::apply_adoptions`].  Batches up to one chunk —
+/// the final greedy's one-node batches, small stages — run inline on the
+/// caller without resolving a worker count.
+const APPLY_CHUNK: usize = 2048;
 
 /// Sentinel for "not colored yet".
 pub const NO_COLOR: u32 = u32::MAX;
@@ -293,14 +299,41 @@ impl ColoringState {
     /// *adjacent* nodes adopt the same color).  Procedures guarantee the
     /// last point by symmetric abstention; it is re-verified here because a
     /// violation would silently corrupt the whole run.
+    ///
+    /// Runs on every hardware thread (or `PARCOLOR_THREADS`); the result
+    /// is identical at any worker count.  Cost: `O(Σ_{(v,c)} d(v))` for
+    /// the conflict check and the neighbor collection, a sort of the
+    /// affected nodes, and `O(Σ_u d(u) · p(u))` worst case for the palette
+    /// pull.
     pub fn apply_adoptions(&mut self, g: &Graph, adoptions: &[(NodeId, u32)]) {
+        self.apply_adoptions_on(g, adoptions, 0);
+    }
+
+    /// [`ColoringState::apply_adoptions`] on `workers` pool workers (`0` =
+    /// auto).  The conflict check and the palette pull run on the pool;
+    /// each affected node removes its neighbors' colors in neighbor order,
+    /// exactly as a sequential pass would, so palettes — contents *and*
+    /// order — are identical at every worker count.
+    pub(crate) fn apply_adoptions_on(
+        &mut self,
+        g: &Graph,
+        adoptions: &[(NodeId, u32)],
+        workers: usize,
+    ) {
         if adoptions.is_empty() {
             return;
         }
+        let pool = Executor::global();
+        let workers_for = |len: usize| {
+            if len > APPLY_CHUNK {
+                parcolor_exec::resolve_workers(workers)
+            } else {
+                1
+            }
+        };
         self.epoch += 1;
         let epoch = self.epoch;
-        // Commit colors (and stamp) sequentially; batches are small
-        // relative to palette scans, this is not a hot loop.
+        // Commit colors (and stamp) sequentially: one cheap pass.
         for &(v, c) in adoptions {
             assert!(!self.is_colored(v), "node {v} adopted twice");
             assert!(
@@ -311,64 +344,90 @@ impl ColoringState {
             self.stamp[v as usize] = epoch;
             self.colored_count += 1;
         }
-        // Verify conflict-freedom among the batch.
-        for &(v, c) in adoptions {
-            for &u in g.neighbors(v) {
-                if self.stamp[u as usize] == epoch && self.color[u as usize] == c {
-                    panic!("conflicting adoptions: {v} and {u} both took {c}");
-                }
-            }
+        // Verify conflict-freedom among the batch (read-only).  The fold
+        // keeps the lowest conflicting batch position, so the report
+        // names the same pair as a sequential scan.
+        let (stamp, color) = (&self.stamp, &self.color);
+        let clash = |(v, c): (NodeId, u32)| {
+            g.neighbors(v)
+                .iter()
+                .copied()
+                .find(|&u| stamp[u as usize] == epoch && color[u as usize] == c)
+        };
+        let first = par_fold(
+            pool,
+            workers_for(adoptions.len()),
+            0..adoptions.len() as u64,
+            APPLY_CHUNK as u64,
+            || (),
+            || u64::MAX,
+            |start, len, acc: u64, _| {
+                (start..start + len)
+                    .find(|&i| clash(adoptions[i as usize]).is_some())
+                    .map_or(acc, |i| acc.min(i))
+            },
+            u64::min,
+        );
+        if let Some(&(v, c)) = adoptions.get(first as usize) {
+            let u = clash((v, c)).expect("the fold found a conflict here");
+            panic!("conflicting adoptions: {v} and {u} both took {c}");
         }
-        // Pull-based neighbor updates, parallel over affected nodes.
         let mut affected: Vec<NodeId> = adoptions
             .iter()
             .flat_map(|&(v, _)| g.neighbors(v).iter().copied())
             .filter(|&u| !self.is_colored(u))
             .collect();
-        affected.par_sort_unstable();
+        par_sort_unstable(pool, workers_for(affected.len()), &mut affected);
         affected.dedup();
-        // Split palette arena into per-node slices for data-parallel
-        // mutation.  Safety: `affected` is strictly increasing, so slices
-        // are disjoint.
+        // Pull-based neighbor updates on the pool: `affected` is strictly
+        // increasing, so every node's palette region, length and degree
+        // slot is written by exactly one worker.
         let pal_off = &self.pal_off;
-        let pal_ptr = SendPtr(self.pal.as_mut_ptr());
-        let len_ptr = SendPtr(self.pal_len.as_mut_ptr());
-        let deg_ptr = SendPtr(self.unc_deg.as_mut_ptr());
-        let stamp = &self.stamp;
-        let color = &self.color;
-        affected.par_iter().for_each(|&u| {
-            let start = pal_off[u as usize] as usize;
-            // SAFETY: each `u` appears once in `affected`; the regions
-            // [start, start+len) are disjoint across nodes, and pal_len /
-            // unc_deg entries are per-node.
-            unsafe {
-                let len_slot = len_ptr.get().add(u as usize);
-                let deg_slot = deg_ptr.get().add(u as usize);
-                let mut live = *len_slot as usize;
-                for &w in g.neighbors(u) {
-                    if stamp[w as usize] == epoch {
-                        *deg_slot -= 1;
-                        let c = color[w as usize];
-                        // Remove c from the live palette prefix if present.
-                        let slice = std::slice::from_raw_parts_mut(pal_ptr.get().add(start), live);
-                        if let Some(pos) = slice.iter().position(|&x| x == c) {
-                            slice.swap(pos, live - 1);
-                            live -= 1;
+        let pal = ScatterMut::new(&mut self.pal);
+        let pal_len = ScatterMut::new(&mut self.pal_len);
+        let unc_deg = ScatterMut::new(&mut self.unc_deg);
+        par_map_chunks(
+            pool,
+            workers_for(affected.len()),
+            affected.len(),
+            APPLY_CHUNK,
+            |start, len| {
+                for &u in &affected[start..start + len] {
+                    let u = u as usize;
+                    // SAFETY: each `u` appears once in `affected`, so its
+                    // length and degree slots and its palette region —
+                    // inside `pal_off[u]..pal_off[u + 1]`, since the live
+                    // prefix only shrinks — are disjoint from every other
+                    // worker's, and nothing reads them during the pull.
+                    let (live_slot, deg_slot, slice) = unsafe {
+                        let live_slot = &mut pal_len.stripe_mut(u, 1)[0];
+                        let slice = pal.stripe_mut(pal_off[u] as usize, *live_slot as usize);
+                        (live_slot, &mut unc_deg.stripe_mut(u, 1)[0], slice)
+                    };
+                    let mut live = slice.len();
+                    for &w in g.neighbors(u as NodeId) {
+                        if stamp[w as usize] == epoch {
+                            *deg_slot -= 1;
+                            let c = color[w as usize];
+                            // Remove c from the live palette prefix if present.
+                            if let Some(pos) = slice[..live].iter().position(|&x| x == c) {
+                                slice.swap(pos, live - 1);
+                                live -= 1;
+                            }
                         }
                     }
+                    *live_slot = live as u32;
                 }
-                *len_slot = live as u32;
-            }
-        });
+            },
+        );
     }
 
     /// The D1LC invariant `p(v) ≥ d(v) + 1` on every uncolored node — the
     /// self-reducibility property (Definition 11) that the entire pipeline
     /// depends on.  Returns the first violating node, if any.
     pub fn invariant_violation(&self) -> Option<NodeId> {
-        (0..self.n as NodeId).into_par_iter().find_first(|&v| {
-            !self.is_colored(v) && self.pal_len[v as usize] <= self.unc_deg[v as usize]
-        })
+        (0..self.n as NodeId)
+            .find(|&v| !self.is_colored(v) && self.pal_len[v as usize] <= self.unc_deg[v as usize])
     }
 
     /// Verify properness of the colored part against the graph.
@@ -414,7 +473,7 @@ impl ColoringState {
         debug_assert!(nodes.iter().all(|&v| !self.is_colored(v)));
         let (sub, map) = g.induced(nodes);
         let lists: Vec<Vec<u32>> = map
-            .par_iter()
+            .iter()
             .map(|&old| {
                 self.palette(old)
                     .iter()
@@ -454,23 +513,6 @@ impl ColoringState {
         &self.color
     }
 }
-
-/// Raw-pointer wrapper asserting cross-thread safety for the disjoint
-/// per-node writes in `apply_adoptions` (see the safety comments there).
-/// The pointer is reached through a method so closures capture the whole
-/// wrapper (edition-2021 closures capture disjoint *fields*, which would
-/// otherwise smuggle the bare `*mut T` past the `Sync` assertion).
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    #[inline]
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -569,6 +611,18 @@ mod tests {
         st.apply_adoptions(&inst.graph, &[(0, 1), (1, 1)]);
     }
 
+    /// A batch split across workers reports the conflict at the lowest
+    /// batch position, as a sequential scan would.
+    #[test]
+    #[should_panic(expected = "conflicting adoptions: 7000 and 7001 both took 0")]
+    fn split_batch_reports_first_conflict() {
+        let inst = inst_cycle(10_000);
+        let mut st = ColoringState::new(&inst);
+        let mut batch: Vec<(NodeId, u32)> = (0..10_000).step_by(2).map(|v| (v, 0)).collect();
+        batch.extend([(9001, 0), (7001, 0)]);
+        st.apply_adoptions_on(&inst.graph, &batch, 4);
+    }
+
     #[test]
     #[should_panic(expected = "not in residual palette")]
     fn color_outside_palette_panics() {
@@ -645,6 +699,110 @@ mod tests {
         // proper but node 0 uses color 5 ∉ palette {0,1,2}
         assert!(inst.verify_coloring(&[5, 1, 2]).is_err());
         assert!(inst.verify_coloring(&[0, 1, 2]).is_ok());
+    }
+
+    /// SplitMix-style mixer for deterministic pseudo-random test data.
+    fn mix(x: u64) -> u64 {
+        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The sequential reference of `apply_adoptions`' palette pull: commit,
+    /// then walk the affected nodes in ascending order and swap-remove
+    /// each stamped neighbor's color in neighbor order.
+    fn apply_sequential(st: &mut ColoringState, g: &Graph, adoptions: &[(NodeId, u32)]) {
+        st.epoch += 1;
+        for &(v, c) in adoptions {
+            st.color[v as usize] = c;
+            st.stamp[v as usize] = st.epoch;
+            st.colored_count += 1;
+        }
+        let mut affected: Vec<NodeId> = adoptions
+            .iter()
+            .flat_map(|&(v, _)| g.neighbors(v).iter().copied())
+            .filter(|&u| !st.is_colored(u))
+            .collect();
+        affected.sort_unstable();
+        affected.dedup();
+        for u in affected {
+            let start = st.pal_off[u as usize] as usize;
+            let mut live = st.pal_len[u as usize] as usize;
+            for &w in g.neighbors(u) {
+                if st.stamp[w as usize] == st.epoch {
+                    st.unc_deg[u as usize] -= 1;
+                    let c = st.color[w as usize];
+                    let pal = &mut st.pal[start..start + live];
+                    if let Some(pos) = pal.iter().position(|&x| x == c) {
+                        pal.swap(pos, live - 1);
+                        live -= 1;
+                    }
+                }
+            }
+            st.pal_len[u as usize] = live as u32;
+        }
+    }
+
+    /// A conflict-free random batch: uncolored nodes in a scrambled
+    /// order, each taking a random residual color no earlier batch
+    /// neighbor took.
+    fn random_batch(st: &ColoringState, g: &Graph, round: u64) -> Vec<(NodeId, u32)> {
+        let mut order: Vec<NodeId> = st.uncolored_nodes();
+        order.sort_by_key(|&v| mix(v as u64 ^ round << 40));
+        let mut taken = vec![NO_COLOR; st.n()];
+        let mut batch = Vec::new();
+        for v in order.into_iter().take(st.uncolored_count() / 2 + 1) {
+            let pal = st.palette(v);
+            let c = pal[(mix(v as u64 + round) % pal.len() as u64) as usize];
+            if g.neighbors(v).iter().all(|&u| taken[u as usize] != c) {
+                taken[v as usize] = c;
+                batch.push((v, c));
+            }
+        }
+        batch
+    }
+
+    /// The pooled pull must leave colors, palettes (contents and order)
+    /// and uncolored degrees exactly as the sequential reference does, at
+    /// every worker count, on batches large enough to split.
+    #[test]
+    fn pooled_apply_matches_sequential_reference() {
+        let n = 12_000usize;
+        let edges: Vec<(NodeId, NodeId)> = (0..5 * n as u64)
+            .map(|i| {
+                (
+                    (mix(2 * i) % n as u64) as NodeId,
+                    (mix(2 * i + 1) % n as u64) as NodeId,
+                )
+            })
+            .filter(|&(a, b)| a != b)
+            .collect();
+        let g = Graph::from_edges(n, &edges);
+        let inst = D1lcInstance::delta_plus_one(g.clone());
+        for workers in [1usize, 2, 4] {
+            let mut pooled = ColoringState::new(&inst);
+            let mut reference = pooled.clone();
+            for round in 0..4 {
+                let batch = random_batch(&reference, &g, round);
+                if round == 0 {
+                    assert!(batch.len() > 2 * APPLY_CHUNK, "batch too small to split");
+                }
+                apply_sequential(&mut reference, &g, &batch);
+                pooled.apply_adoptions_on(&g, &batch, workers);
+                assert_eq!(pooled.colors(), reference.colors(), "workers {workers}");
+                assert_eq!(pooled.colored_count, reference.colored_count);
+                assert_eq!(pooled.unc_deg, reference.unc_deg, "workers {workers}");
+                for v in 0..n as NodeId {
+                    assert_eq!(
+                        pooled.palette(v),
+                        reference.palette(v),
+                        "workers {workers} round {round} node {v}"
+                    );
+                }
+            }
+            assert!(pooled.invariant_violation().is_none());
+        }
     }
 
     #[test]

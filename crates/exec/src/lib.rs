@@ -45,11 +45,13 @@
 //! hot paths (one seed search per derandomized step, several folds per
 //! round) never pay thread-spawn latency.  The calling thread always
 //! participates as worker 0; `workers <= 1` runs inline with no
-//! synchronization at all.  Calls from *inside* a pool worker (a
-//! procedure whose cost evaluation itself reaches a parallel fold) are
-//! detected via a thread-local flag and collapse to the inline serial
-//! path — nested parallelism cannot deadlock the pool, it just runs
-//! sequentially inside the already-parallel outer call.
+//! synchronization at all.  Every primitive clamps its worker count to
+//! its number of blocks or chunks, so a call with one chunk of work runs
+//! inline on the caller and never wakes a helper.  Calls from *inside* a
+//! pool worker (a procedure whose cost evaluation itself reaches a
+//! parallel fold) are detected via a thread-local flag and collapse to
+//! the inline serial path — nested parallelism cannot deadlock the pool,
+//! it just runs sequentially inside the already-parallel outer call.
 //!
 //! Panics in worker closures are caught, the call completes its
 //! synchronization, and the first captured payload is re-thrown on the
@@ -455,8 +457,11 @@ where
     if len == 0 {
         return identity();
     }
-    let workers = scratches.len().max(1);
     let nblocks = len.div_ceil(block);
+    let workers = scratches
+        .len()
+        .clamp(1, MAX_WORKERS)
+        .min(nblocks.min(MAX_WORKERS as u64) as usize);
     let next = AtomicU64::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..workers).map(|_| Mutex::new(None)).collect();
     let cells = SharedScratches::new(scratches);
@@ -513,8 +518,10 @@ where
     if len == 0 {
         return identity();
     }
-    let workers = workers.clamp(1, MAX_WORKERS);
     let nblocks = len.div_ceil(block);
+    let workers = workers
+        .clamp(1, MAX_WORKERS)
+        .min(nblocks.min(MAX_WORKERS as u64) as usize);
     let next = AtomicU64::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..workers).map(|_| Mutex::new(None)).collect();
     let run = |w: usize| {
@@ -554,8 +561,8 @@ where
     if len == 0 {
         return;
     }
-    let workers = workers.clamp(1, MAX_WORKERS);
     let nchunks = len.div_ceil(chunk);
+    let workers = workers.clamp(1, MAX_WORKERS).min(nchunks);
     let next = AtomicU64::new(0);
     let run = |_w: usize| loop {
         let c = next.fetch_add(1, Ordering::Relaxed) as usize;
@@ -609,8 +616,8 @@ pub fn par_fill_in<T, S, F>(
     if len == 0 {
         return;
     }
-    let workers = scratches.len().min(MAX_WORKERS);
     let nchunks = len.div_ceil(chunk);
+    let workers = scratches.len().min(MAX_WORKERS).min(nchunks);
     let next = AtomicU64::new(0);
     let cells = SharedScratches::new(scratches);
     let scatter = ScatterMut::new(out);
@@ -868,6 +875,61 @@ mod tests {
         let distinct = ids.lock().unwrap().len();
         assert!(distinct <= MAX_WORKERS.min(64), "thread churn: {distinct}");
         assert!(pool.spawned_workers() <= MAX_WORKERS);
+    }
+
+    /// A call with one block or chunk of work must run inline as worker 0
+    /// on the caller's thread.  A private pool proves no helper was woken:
+    /// it spawns its helpers on the first call that needs them.
+    #[test]
+    fn single_chunk_calls_never_wake_helpers() {
+        let pool = Executor {
+            senders: Mutex::new(Vec::new()),
+        };
+        let me = std::thread::current().id();
+        let mut scratches = vec![None; 4];
+        let total = par_fold_in(
+            &pool,
+            &mut scratches,
+            0..5,
+            8,
+            || 0u64,
+            |start, len, acc: u64, seen: &mut Option<std::thread::ThreadId>| {
+                *seen = Some(std::thread::current().id());
+                acc + (start..start + len).sum::<u64>()
+            },
+            |a, b| a + b,
+        );
+        assert_eq!(total, 10);
+        assert_eq!(scratches, [Some(me), None, None, None]);
+        let made = AtomicUsize::new(0);
+        par_fold(
+            &pool,
+            4,
+            0..3,
+            8,
+            || made.fetch_add(1, Ordering::Relaxed),
+            || (),
+            |_, _, (), _: &mut usize| (),
+            |(), ()| (),
+        );
+        assert_eq!(made.load(Ordering::Relaxed), 1, "one scratch, one worker");
+        let mut scratches = vec![None; 4];
+        let mut out = vec![0u32; 40];
+        par_fill_in(&pool, &mut scratches, &mut out, 64, |_, stripe, seen| {
+            *seen = Some(std::thread::current().id());
+            stripe.fill(7);
+        });
+        assert_eq!(out, vec![7; 40]);
+        assert_eq!(scratches, [Some(me), None, None, None]);
+        let threads = Mutex::new(Vec::new());
+        par_map_chunks(&pool, 4, 10, 16, |_, _| {
+            threads.lock().unwrap().push(std::thread::current().id());
+        });
+        assert_eq!(*threads.lock().unwrap(), [me]);
+        assert_eq!(pool.spawned_workers(), 0, "a helper was woken");
+        // Two chunks do fan out.
+        par_map_chunks(&pool, 4, 32, 16, |_, _| {});
+        assert_eq!(pool.spawned_workers(), 1);
     }
 
     #[test]

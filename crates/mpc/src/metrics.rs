@@ -3,14 +3,20 @@
 //! Accumulation may happen from several threads at once (callers fold
 //! per-machine observations and publish them with
 //! [`MpcMetrics::observe_machines`]), so the peak trackers are atomics
-//! (fetch_max) and the cold-path phase log sits
-//! behind a `parking_lot` mutex, per the session's concurrency guide: no
-//! locks on hot paths, atomics with explicit orderings where contention is
+//! (fetch_max) and the cold-path phase log sits behind a mutex: no locks
+//! on hot paths, atomics with explicit orderings where contention is
 //! possible.
 
-use parking_lot::Mutex;
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock a phase-log mutex.  A panic while it was held cannot leave the
+/// log half-written (every critical section is one assignment or push),
+/// so poisoning is ignored.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One phase's snapshot in the metrics log.
 #[derive(Clone, Debug, Serialize)]
@@ -99,7 +105,7 @@ impl MpcMetrics {
     /// Start a labelled phase (ends any open one).
     pub fn begin_phase(&self, label: impl Into<String>) {
         self.end_phase();
-        *self.phase_open.lock() = Some((
+        *lock(&self.phase_open) = Some((
             label.into(),
             self.rounds.load(Ordering::Relaxed),
             self.messages.load(Ordering::Relaxed),
@@ -109,8 +115,8 @@ impl MpcMetrics {
 
     /// Close the open phase, recording its deltas.
     pub fn end_phase(&self) {
-        if let Some((label, r0, m0)) = self.phase_open.lock().take() {
-            self.phases.lock().push(PhaseMetrics {
+        if let Some((label, r0, m0)) = lock(&self.phase_open).take() {
+            lock(&self.phases).push(PhaseMetrics {
                 label,
                 rounds: self.rounds.load(Ordering::Relaxed) - r0,
                 max_machine_words: self.phase_peak.load(Ordering::Relaxed),
@@ -143,7 +149,7 @@ impl MpcMetrics {
             global_words_peak: self.global_words_peak.load(Ordering::Relaxed),
             messages: self.messages.load(Ordering::Relaxed),
             budget_violations: self.budget_violations.load(Ordering::Relaxed),
-            phases: self.phases.lock().clone(),
+            phases: lock(&self.phases).clone(),
         }
     }
 }

@@ -330,7 +330,7 @@ where
 type RangeFold = SumMinArgmin;
 
 /// Fold a block evaluator over seeds `start..start + len` with one
-/// scratch per worker taken from `pool` (worker count = `pool.len()`), so
+/// scratch per worker taken from `pool` (at most `pool.len()` workers), so
 /// callers issuing many folds (the streaming bitwise walk) construct
 /// arenas once and reuse them across folds instead of re-zeroing O(n)
 /// memory per half-space.
@@ -340,10 +340,12 @@ type RangeFold = SumMinArgmin;
 /// off one shared atomic counter, so load imbalance between seeds (the
 /// cost of one evaluation depends on the outcome it simulates) never
 /// leaves a worker idle behind a fixed chunk boundary — and no threads
-/// are spawned per call.  Which worker evaluates which block is
-/// nondeterministic; the *result* is not — the block fold is
-/// grouping-invariant (see [`SumMinArgmin`]), so the merged
-/// `(sum, min, argmin)` is bit-identical to the serial walk for
+/// are spawned per call.  The block is the unit of parallelism: a fold of
+/// two blocks (the CLI's default `FixedSubset(16)`) already runs on two
+/// workers, and a fold of one block runs inline on the caller.  Which
+/// worker evaluates which block is nondeterministic; the *result* is not
+/// — the block fold is grouping-invariant (see [`SumMinArgmin`]), so the
+/// merged `(sum, min, argmin)` is bit-identical to the serial walk for
 /// integer-valued costs.
 pub fn fold_seed_range_in<S, F>(pool: &mut [S], start: u64, len: u64, eval_block: &F) -> RangeFold
 where
@@ -372,18 +374,18 @@ where
     )
 }
 
-/// Worker threads for a fold over `len` seeds.  `requested = 0` means
-/// auto: the `PARCOLOR_THREADS` env var if set, else all hardware
-/// threads — see [`parcolor_exec::resolve_workers`].  Tiny
-/// ranges stay serial — scheduling overhead would dominate — and the
-/// count is capped so every worker has ≥ 32 seeds.
+/// Worker threads for a fold over `len` seeds: the resolved request
+/// capped at the fold's number of [`SEED_BLOCK`]s, so every worker gets at
+/// least one block to evaluate.  `requested = 0` means auto: the
+/// `PARCOLOR_THREADS` env var if set, else all hardware threads — see
+/// [`parcolor_exec::resolve_workers`].  One block evaluates a whole
+/// simulation per seed lane, which dwarfs the pool's hand-off, so even a
+/// two-block fold splits.  The fold is grouping-invariant, so any count
+/// selects the same seed; the local searcher and the distributed
+/// coordinator and worker all size their arenas with this function.
 pub fn seed_workers(len: u64, requested: usize) -> usize {
-    let hw = parcolor_exec::resolve_workers(requested);
-    if len < 64 {
-        1
-    } else {
-        hw.min((len / 32) as usize).max(1)
-    }
+    let blocks = len.div_ceil(SEED_BLOCK as u64).max(1);
+    parcolor_exec::resolve_workers(requested).min(usize::try_from(blocks).unwrap_or(usize::MAX))
 }
 
 fn argmin_selection(costs: &[f64], evaluated: u64) -> SeedSelection {
@@ -574,7 +576,7 @@ mod tests {
     }
 
     /// Scratch reuse: the factory is called once per worker, not per seed
-    /// (workers for a 256-seed fold are capped at 256/32 = 8).
+    /// (one arena per worker of the 256-seed fold).
     #[test]
     fn scratch_is_reused_across_seeds() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -598,7 +600,29 @@ mod tests {
         );
         assert_eq!(sel.seed, 0);
         let made = factories.load(Ordering::Relaxed);
-        assert!(made <= 8, "scratch factories: {made} for 256 seeds");
+        assert_eq!(
+            made,
+            seed_workers(256, 0),
+            "scratch factories for 256 seeds"
+        );
+    }
+
+    /// The worker count is capped by blocks, not by a seed-count floor:
+    /// short folds split as soon as they span two blocks.
+    #[test]
+    fn seed_workers_split_by_block() {
+        for len in 1..=SEED_BLOCK as u64 {
+            for requested in [1usize, 2, 8] {
+                assert_eq!(seed_workers(len, requested), 1, "len {len}");
+            }
+        }
+        assert_eq!(seed_workers(9, 8), 2);
+        assert_eq!(seed_workers(16, 2), 2);
+        assert_eq!(seed_workers(16, 8), 2);
+        assert_eq!(seed_workers(17, 8), 3);
+        assert_eq!(seed_workers(1024, 1), 1);
+        assert_eq!(seed_workers(1024, 2), 2);
+        assert!(seed_workers(16, 0) <= 2);
     }
 
     /// The stolen-block fold must agree with the serial walk including
@@ -644,6 +668,8 @@ mod tests {
             SeedStrategy::Exhaustive,
             SeedStrategy::BitwiseCondExp,
             SeedStrategy::FixedSubset(200),
+            SeedStrategy::FixedSubset(16),
+            SeedStrategy::FixedSubset(9),
         ] {
             let reference = select_seed_blocks_n(9, strategy, 1, || (), eval_block);
             for workers in [2usize, 4, 8] {

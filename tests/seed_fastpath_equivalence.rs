@@ -16,7 +16,7 @@
 use parcolor_core::framework::{NormalProcedure, SimScratch};
 use parcolor_core::hknt::procs::{
     CliquePutAside, CliqueTrial, GenerateSlack, MultiTrial, PutAside, SspMode, StageSet,
-    SynchColorTrial, TryRandomColor,
+    SynchColorTrial, TryRandomColor, LANE_STRIPE,
 };
 use parcolor_core::instance::{ColoringState, D1lcInstance};
 use parcolor_core::{Graph, NodeId};
@@ -142,6 +142,20 @@ fn try_random_color_matches_reference_path() {
             let proc = TryRandomColor::new(&inst.graph, active_uncolored(&state), ssp.clone(), 2);
             check_equivalence(&proc, &state, &format!("TryRandomColor g{seed} {ssp:?}"));
         }
+    }
+}
+
+/// `TryRandomColor` streams its seed-lane draws through active-node
+/// stripes; an instance spanning several stripes, with a short last one,
+/// must still match the oracle lane for lane.
+#[test]
+fn try_random_color_block_matches_oracle_across_stripes() {
+    let (inst, state) = partially_colored(10_000, 30_000, 12);
+    let set = active_uncolored(&state);
+    assert!(set.active.len() > 2 * LANE_STRIPE, "needs three stripes");
+    for ssp in [SspMode::Colored, SspMode::Auto, SspMode::SlackRatio(0.4)] {
+        let proc = TryRandomColor::new(&inst.graph, set.clone(), ssp.clone(), 3);
+        assert_block_matches_oracle(&proc, &state, &format!("TryRandomColor striped {ssp:?}"));
     }
 }
 
