@@ -15,9 +15,8 @@
 //! and experiment E11 measures the quality of the classification.
 
 use crate::config::Params;
-use crate::node_params::ParamTable;
+use crate::node_params::{ParamTable, StageAdj};
 use parcolor_local::graph::{sorted_intersection_size, Graph, NodeId};
-use rayon::prelude::*;
 
 /// Classification of a node by the ACD.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,6 +173,10 @@ impl Dsu {
 
 /// Compute the (deg+1)-ACD of the subgraph induced by `active`, using the
 /// already-computed Definition 2 parameters.
+///
+/// Builds the stage CSR ([`StageAdj`]) from the table's active degrees
+/// (one pool pass, space `O(n + Σ_v d_act(v))`) and runs the ACD on it;
+/// ColorMiddle instead hands over the CSR its parameter pass built.
 pub fn compute_acd(
     g: &Graph,
     nodes: &[NodeId],
@@ -181,28 +184,32 @@ pub fn compute_acd(
     table: &ParamTable,
     params: &Params,
 ) -> Acd {
+    let adj = StageAdj::of_table(g, active, table);
+    compute_acd_on(g, nodes, table, params, &adj)
+}
+
+/// [`compute_acd`] on the stage CSR `adj` of the mask `table` was
+/// computed on.
+///
+/// Time `O(n + Σ_{dense v} Σ_{dense u ∈ N_act(v)} (d(u) + d(v)))` for the
+/// friend edges (one sorted merge of the two CSR rows per edge between
+/// dense candidates), plus near-linear union-find and per-clique repair.
+/// Sequential: every step follows `nodes` order, so the output does not
+/// depend on the worker count.
+pub(crate) fn compute_acd_on(
+    g: &Graph,
+    nodes: &[NodeId],
+    table: &ParamTable,
+    params: &Params,
+    adj: &StageAdj,
+) -> Acd {
     let n = g.n();
     let mut class = vec![NodeClass::Inactive; n];
-
-    // Active-filtered sorted adjacency (reused for intersections).
-    let act_adj: Vec<Vec<NodeId>> = (0..n as NodeId)
-        .into_par_iter()
-        .map(|v| {
-            if !active[v as usize] {
-                return Vec::new();
-            }
-            g.neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| active[u as usize])
-                .collect()
-        })
-        .collect();
 
     // Step 1: sparse / uneven / dense-candidate classification.
     for &v in nodes {
         let t = table.get(v);
-        let d = act_adj[v as usize].len() as f64;
+        let d = adj.row(v).len() as f64;
         class[v as usize] = if t.sparsity >= params.eps_sp * d {
             NodeClass::Sparse
         } else if t.unevenness >= params.eps_sp * d {
@@ -213,30 +220,19 @@ pub fn compute_acd(
     }
 
     // Step 2: friend edges among dense candidates.
-    let act_adj_ref = &act_adj;
-    let class_ref = &class;
-    let friend_edges: Vec<(NodeId, NodeId)> = nodes
-        .par_iter()
-        .flat_map_iter(|&v| {
-            let is_dense_v = matches!(class_ref[v as usize], NodeClass::Dense(_));
-            let adj = &act_adj_ref[v as usize];
-            let dv = adj.len();
-            adj.iter()
-                .filter(move |&&u| is_dense_v && u > v)
-                .filter(|&&u| matches!(class_ref[u as usize], NodeClass::Dense(_)))
-                .filter_map(move |&u| {
-                    let du = act_adj_ref[u as usize].len();
-                    let cn = sorted_intersection_size(
-                        &act_adj_ref[v as usize],
-                        &act_adj_ref[u as usize],
-                    );
-                    let need = (1.0 - params.eps_friend) * dv.max(du) as f64;
-                    (cn as f64 >= need).then_some((v, u))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-        })
-        .collect();
+    let is_dense = |v: NodeId| matches!(class[v as usize], NodeClass::Dense(_));
+    let mut friend_edges: Vec<(NodeId, NodeId)> = Vec::new();
+    for &v in nodes.iter().filter(|&&v| is_dense(v)) {
+        let rv = adj.row(v);
+        for &u in rv.iter().filter(|&&u| u > v && is_dense(u)) {
+            let ru = adj.row(u);
+            let cn = sorted_intersection_size(rv, ru);
+            let need = (1.0 - params.eps_friend) * rv.len().max(ru.len()) as f64;
+            if cn as f64 >= need {
+                friend_edges.push((v, u));
+            }
+        }
+    }
 
     // Step 3: components of the friend graph.
     let mut dsu = Dsu::new(n);
@@ -266,8 +262,9 @@ pub fn compute_acd(
             .iter()
             .copied()
             .filter(|&v| {
-                let d = act_adj[v as usize].len() as f64;
-                let inside = act_adj[v as usize]
+                let row = adj.row(v);
+                let d = row.len() as f64;
+                let inside = row
                     .iter()
                     .filter(|&&u| members.binary_search(&u).is_ok())
                     .count() as f64;
@@ -292,11 +289,7 @@ pub fn compute_acd(
         for &v in &keep {
             class[v as usize] = NodeClass::Dense(id);
         }
-        let max_degree = keep
-            .iter()
-            .map(|&v| act_adj[v as usize].len())
-            .max()
-            .unwrap();
+        let max_degree = keep.iter().map(|&v| adj.row(v).len()).max().unwrap();
         // Leader: minimum slackability (ties → lowest id).
         let leader = keep
             .iter()
@@ -310,7 +303,7 @@ pub fn compute_acd(
                     .then(a.cmp(&b))
             })
             .unwrap();
-        let (outliers, inliers) = split_outliers(g, &keep, leader, table, &act_adj);
+        let (outliers, inliers) = split_outliers(&keep, leader, adj);
         let ell = params.ell(max_degree.max(2));
         let low_slack = table.get(leader).slackability <= ell;
         cliques.push(Clique {
@@ -333,14 +326,12 @@ pub fn compute_acd(
 /// leader itself is kept out of the inlier list (it must survive to deal
 /// colors in SynchColorTrial).
 fn split_outliers(
-    _g: &Graph,
     members: &[NodeId],
     leader: NodeId,
-    _table: &ParamTable,
-    act_adj: &[Vec<NodeId>],
+    adj: &StageAdj,
 ) -> (Vec<NodeId>, Vec<NodeId>) {
     let csize = members.len();
-    let leader_adj = &act_adj[leader as usize];
+    let leader_adj = adj.row(leader);
     let d_leader = leader_adj.len();
 
     let mut out = vec![false; csize];
@@ -355,12 +346,7 @@ fn split_outliers(
     let mut by_common: Vec<(usize, usize)> = members
         .iter()
         .enumerate()
-        .map(|(i, &v)| {
-            (
-                sorted_intersection_size(&act_adj[v as usize], leader_adj),
-                i,
-            )
-        })
+        .map(|(i, &v)| (sorted_intersection_size(adj.row(v), leader_adj), i))
         .collect();
     by_common.sort_unstable();
     for &(_, i) in by_common.iter().take(take_a) {
@@ -371,7 +357,7 @@ fn split_outliers(
     let mut by_deg: Vec<(usize, usize)> = members
         .iter()
         .enumerate()
-        .map(|(i, &v)| (act_adj[v as usize].len(), i))
+        .map(|(i, &v)| (adj.row(v).len(), i))
         .collect();
     by_deg.sort_unstable_by(|a, b| b.cmp(a));
     for &(_, i) in by_deg.iter().take(take_b) {
@@ -400,7 +386,9 @@ fn split_outliers(
 mod tests {
     use super::*;
     use crate::instance::{ColoringState, D1lcInstance};
-    use crate::node_params::compute_params;
+    use crate::node_params::tests::{large_stage, random_stage, Stage};
+    use crate::node_params::{compute_params, compute_params_on};
+    use proptest::prelude::*;
 
     fn planted(clique_sizes: &[usize], sparse_n: usize, seed: u64) -> Graph {
         // Disjoint cliques plus a sparse random part wired to nothing.
@@ -534,5 +522,66 @@ mod tests {
         assert!(acd.cliques.is_empty());
         // Degree-2 ring: sparsity of each node is (1 - 0)/2 = 0.5 ≥ ε·2.
         assert_eq!(acd.sparse_nodes().len(), 30);
+    }
+
+    fn assert_same_acd(a: &Acd, b: &Acd) {
+        assert_eq!(a.class, b.class);
+        assert_eq!(a.cliques.len(), b.cliques.len());
+        for (x, y) in a.cliques.iter().zip(&b.cliques) {
+            assert_eq!(
+                (x.id, &x.nodes, x.leader, &x.outliers, &x.inliers),
+                (y.id, &y.nodes, y.leader, &y.outliers, &y.inliers)
+            );
+            assert_eq!((x.low_slack, x.max_degree), (y.low_slack, y.max_degree));
+        }
+    }
+
+    /// The public `compute_acd` (its own CSR from the table) equals
+    /// ColorMiddle's path (`compute_params_on` → `compute_acd_on` on the
+    /// parameter pass's CSR) at 1 and 4 workers.
+    fn assert_paths_agree(stage: &Stage, params: &Params) {
+        let (g, state, nodes, active) = stage;
+        let public = compute_acd(
+            g,
+            nodes,
+            active,
+            &compute_params(g, state, nodes, active),
+            params,
+        );
+        for workers in [1, 4] {
+            let (table, adj) = compute_params_on(g, state, nodes, active, workers);
+            assert_same_acd(&public, &compute_acd_on(g, nodes, &table, params, &adj));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn public_acd_matches_the_color_middle_path(seed in any::<u64>()) {
+            // A loose friend threshold so random stages grow cliques too.
+            let loose = Params { eps_friend: 0.9, eps_sp: 0.9, ..Params::default() };
+            for params in [Params::default(), loose] {
+                assert_paths_agree(&random_stage(seed), &params);
+            }
+        }
+    }
+
+    #[test]
+    fn public_acd_matches_the_color_middle_path_on_large_stages() {
+        for seed in 0..2 {
+            assert_paths_agree(&large_stage(seed), &Params::default());
+        }
+        // Planted cliques, everything active.
+        let g = planted(&[20, 15, 9], 200, 6);
+        let inst = D1lcInstance::delta_plus_one(g.clone());
+        let stage = (
+            g.clone(),
+            ColoringState::new(&inst),
+            (0..g.n() as NodeId).collect(),
+            vec![true; g.n()],
+        );
+        assert_paths_agree(&stage, &Params::default());
+        assert_eq!(acd_of(&g).0.cliques.len(), 3);
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::config::Params;
 use crate::framework::Runner;
-use crate::hknt::acd::{compute_acd, NodeClass};
+use crate::hknt::acd::{compute_acd_on, NodeClass};
 use crate::hknt::procs::{
     CliquePutAside, CliqueTrial, GenerateSlack, PutAside, StageSet, SynchColorTrial,
 };
@@ -85,8 +85,11 @@ pub fn color_middle(
         .charge_two_hop_collection(g, |v| active[v as usize]);
     runner.mpc.charge_rounds(4);
     runner.engine.charge(4, 0);
-    let table = compute_params_on(g, state, &stage, &active, params.workers);
-    let acd = compute_acd(g, &stage, &active, &table, params);
+    // The stage CSR serves the parameters and the ACD, then goes, so it
+    // never coexists with the seed-search arenas.
+    let (table, adj) = compute_params_on(g, state, &stage, &active, params.workers);
+    let acd = compute_acd_on(g, &stage, &table, params, &adj);
+    drop(adj);
     let vs = identify_vstart(g, state, &acd, &table, &active, params);
 
     let sparse = acd.sparse_nodes();

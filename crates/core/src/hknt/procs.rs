@@ -17,7 +17,6 @@ use crate::instance::ColoringState;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_local::tape::Randomness;
 use parcolor_prg::SEED_BLOCK;
-use rayon::prelude::*;
 
 /// Streams used to separate the random draws inside one procedure.
 const S_PICK: u64 = 1;
@@ -120,6 +119,61 @@ fn adoption_map(n: usize, out: &Outcome) -> Vec<u32> {
     adopted
 }
 
+/// Number of `v`'s neighbors inside `set` — its degree `d_set(v)` before
+/// any outcome.
+fn set_degree(g: &Graph, set: &StageSet, v: NodeId) -> usize {
+    g.neighbors(v).iter().filter(|&&u| set.contains(u)).count()
+}
+
+/// The failure rule of a slack SSP: node `i` of `set.active` fails when
+/// it ends unadopted with post-outcome slack below `thresh(i, deg)`,
+/// where `deg` is its count of unadopted active neighbors.
+#[derive(Clone, Copy)]
+enum SlackRule<'a> {
+    /// `slack < ratio · deg` (`SspMode::SlackRatio`).
+    Ratio(f64),
+    /// `slack < targets[i]`, and targets `≤ 0` always pass
+    /// (`SspMode::SlackTarget`, GenerateSlack).
+    Target(&'a [f64]),
+}
+
+impl SlackRule<'_> {
+    /// Whether node `i` passes whatever the outcome (a target `≤ 0`).
+    #[inline]
+    fn exempt(self, i: usize) -> bool {
+        matches!(self, SlackRule::Target(t) if t[i] <= 0.0)
+    }
+
+    /// Node `i` fails below this slack at post-outcome degree `deg`.
+    #[inline]
+    fn thresh(self, i: usize, deg: usize) -> f64 {
+        match self {
+            SlackRule::Ratio(r) => r * deg as f64,
+            SlackRule::Target(t) => t[i],
+        }
+    }
+
+    /// The slack floor: whether node `i`, with palette `p` and `d_set`
+    /// neighbors in the set, passes in every outcome.
+    ///
+    /// Each adopted set-neighbor removes one from `deg` and at most one
+    /// distinct color from the palette, so after any outcome
+    /// `slack ≥ p − d_set` while `deg ∈ [0, d_set]`.  Both rules are
+    /// monotone in `deg` (a constant, or a product with a fixed ratio,
+    /// which rounding keeps monotone), so `thresh` peaks at an end of that
+    /// range.  A floor at or above both ends can never fail; a NaN end
+    /// compares false and keeps the node scanned.
+    #[inline]
+    fn settled(self, i: usize, p: usize, d_set: usize) -> bool {
+        let floor = (p as i64 - d_set as i64) as f64;
+        floor >= self.thresh(i, d_set) && floor >= self.thresh(i, 0)
+    }
+}
+
+/// Failing nodes of `out` under an SSP, in `set.active` order — the
+/// oracle each block kernel below reproduces lane by lane.  The slack
+/// arms skip every node whose slack floor `p(v) − d_set(v)` already meets
+/// its threshold ([`SlackRule::settled`]): no outcome can make it fail.
 fn evaluate_ssp(
     g: &Graph,
     state: &ColoringState,
@@ -132,40 +186,45 @@ fn evaluate_ssp(
         SspMode::Colored => {
             let adopted = adoption_map(state.n(), out);
             set.active
-                .par_iter()
+                .iter()
                 .copied()
                 .filter(|&v| adopted[v as usize] == crate::instance::NO_COLOR)
                 .collect()
         }
-        SspMode::SlackRatio(ratio) => {
-            let adopted = adoption_map(state.n(), out);
-            set.active
-                .par_iter()
-                .copied()
-                .filter(|&v| {
-                    if adopted[v as usize] != crate::instance::NO_COLOR {
-                        return false; // colored ⇒ success
-                    }
-                    let (deg, slack) = post_deg_slack(g, state, set, &adopted, v);
-                    (slack as f64) < ratio * deg as f64
-                })
-                .collect()
-        }
+        SspMode::SlackRatio(ratio) => slack_failures(g, state, set, SlackRule::Ratio(*ratio), out),
         SspMode::SlackTarget(targets) => {
-            let adopted = adoption_map(state.n(), out);
-            set.active
-                .par_iter()
-                .zip(targets.par_iter())
-                .filter_map(|(&v, &t)| {
-                    if t <= 0.0 || adopted[v as usize] != crate::instance::NO_COLOR {
-                        return None;
-                    }
-                    let (_, slack) = post_deg_slack(g, state, set, &adopted, v);
-                    ((slack as f64) < t).then_some(v)
-                })
-                .collect()
+            slack_failures(g, state, set, SlackRule::Target(targets), out)
         }
     }
+}
+
+/// The slack arms of [`evaluate_ssp`]: unadopted nodes whose
+/// post-outcome slack breaks `rule`.  A node the slack floor settles
+/// ([`SlackRule::settled`]) costs one count of `d_set(v)` instead of the
+/// walk that collects its neighbors' adopted colors.
+fn slack_failures(
+    g: &Graph,
+    state: &ColoringState,
+    set: &StageSet,
+    rule: SlackRule,
+    out: &Outcome,
+) -> Vec<NodeId> {
+    let adopted = adoption_map(state.n(), out);
+    set.active
+        .iter()
+        .enumerate()
+        .filter(|&(i, &v)| {
+            if rule.exempt(i) || adopted[v as usize] != crate::instance::NO_COLOR {
+                return false; // exempt or colored ⇒ success
+            }
+            if rule.settled(i, state.palette_size(v), set_degree(g, set, v)) {
+                return false;
+            }
+            let (deg, slack) = post_deg_slack(g, state, set, &adopted, v);
+            (slack as f64) < rule.thresh(i, deg)
+        })
+        .map(|(_, &v)| v)
+        .collect()
 }
 
 /// Count of active nodes left uncolored by `out` — the progress-oriented
@@ -228,23 +287,21 @@ fn lane_uncolored_costs(set: &StageSet, plane: &PickPlane, lanes: usize, costs: 
 }
 
 /// Lane-parallel slack-failure count: for every lane `s`, `costs[s] = `
-/// number of active nodes `v` with `skip(i) == false`, unadopted in lane
-/// `s`, whose post-outcome slack in lane `s` falls below
-/// `thresh(i, deg_s)` (where `deg_s` is `v`'s count of unadopted active
-/// neighbors in lane `s`) — the lane analogue of the `SlackRatio` /
-/// `SlackTarget` arms of [`evaluate_ssp`].  Walks each candidate node's
-/// neighborhood ONCE for all lanes, reading adopted colors as 32-byte SoA
-/// rows, with per-lane sorted-set dedup identical to [`post_deg_slack`]'s
-/// `taken` set.
-#[allow(clippy::too_many_arguments)] // one shared kernel, two threshold shapes
+/// number of non-exempt active nodes `v`, unadopted in lane `s`, whose
+/// post-outcome slack in lane `s` breaks `rule` (with `deg_s` = `v`'s
+/// count of unadopted active neighbors in lane `s`) — the lane analogue
+/// of [`slack_failures`].  A candidate first counts `d_set(v)`; if the
+/// slack floor settles it ([`SlackRule::settled`]: no lane can fail) it
+/// is skipped, and otherwise its neighborhood is walked ONCE for all
+/// lanes, reading adopted colors as 32-byte SoA rows, with per-lane
+/// sorted-set dedup identical to [`post_deg_slack`]'s `taken` set.
 fn lane_slack_fail_costs(
     g: &Graph,
     state: &ColoringState,
     set: &StageSet,
     plane: &mut PickPlane,
     lanes: usize,
-    mut skip: impl FnMut(usize) -> bool,
-    mut thresh: impl FnMut(usize, usize) -> f64,
+    rule: SlackRule,
     costs: &mut [f64],
 ) {
     let PickPlane {
@@ -256,7 +313,7 @@ fn lane_slack_fail_costs(
     let full: u8 = ((1u16 << lanes) - 1) as u8;
     let mut fails = [0usize; SEED_BLOCK];
     for (i, &v) in set.active.iter().enumerate() {
-        if skip(i) {
+        if rule.exempt(i) {
             continue;
         }
         let need = !adopted_mask[v as usize] & full;
@@ -264,11 +321,13 @@ fn lane_slack_fail_costs(
             continue; // adopted in every lane ⇒ success everywhere
         }
         let pal = state.palette(v);
-        // deg_s = (active neighbors) − (active neighbors adopted in lane
-        // s), so the neighbor loop only touches SET adoption bits —
-        // iterating each mask's population instead of all 8 lanes keeps
-        // the common unadopted-everywhere neighbor at one increment.
-        let mut nbr = 0usize;
+        let d_set = set_degree(g, set, v);
+        if rule.settled(i, pal.len(), d_set) {
+            continue;
+        }
+        // deg_s = d_set − (active neighbors adopted in lane s), so the
+        // neighbor loop only touches SET adoption bits — iterating each
+        // mask's population instead of all 8 lanes.
         let mut adopted_nbrs = [0usize; SEED_BLOCK];
         let mut pal_lost = [0usize; SEED_BLOCK];
         for t in taken_lanes.iter_mut().take(lanes) {
@@ -278,7 +337,6 @@ fn lane_slack_fail_costs(
             if !set.contains(u) {
                 continue;
             }
-            nbr += 1;
             let mut amu = adopted_mask[u as usize];
             if amu == 0 {
                 continue;
@@ -303,9 +361,9 @@ fn lane_slack_fail_costs(
         }
         for (s, f) in fails.iter_mut().enumerate().take(lanes) {
             if need >> s & 1 == 1 {
-                let deg = nbr - adopted_nbrs[s];
+                let deg = d_set - adopted_nbrs[s];
                 let slack = (pal.len() - pal_lost[s]) as i64 - deg as i64;
-                if (slack as f64) < thresh(i, deg) {
+                if (slack as f64) < rule.thresh(i, deg) {
                     *f += 1;
                 }
             }
@@ -332,29 +390,12 @@ fn lane_ssp_costs(
     match ssp {
         SspMode::Auto | SspMode::Colored => lane_uncolored_costs(set, plane, lanes, costs),
         SspMode::SlackRatio(ratio) => {
-            let r = *ratio;
-            lane_slack_fail_costs(
-                g,
-                state,
-                set,
-                plane,
-                lanes,
-                |_| false,
-                |_, deg| r * deg as f64,
-                costs,
-            );
+            let rule = SlackRule::Ratio(*ratio);
+            lane_slack_fail_costs(g, state, set, plane, lanes, rule, costs);
         }
         SspMode::SlackTarget(targets) => {
-            lane_slack_fail_costs(
-                g,
-                state,
-                set,
-                plane,
-                lanes,
-                |i| targets[i] <= 0.0,
-                |i, _| targets[i],
-                costs,
-            );
+            let rule = SlackRule::Target(targets);
+            lane_slack_fail_costs(g, state, set, plane, lanes, rule, costs);
         }
     }
 }
@@ -440,7 +481,7 @@ impl NormalProcedure for TryRandomColor<'_> {
         let adoptions: Vec<(NodeId, u32)> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .filter_map(|&v| {
                 let c = self.pick(state, rng, v);
                 let clash = self
@@ -831,14 +872,14 @@ impl NormalProcedure for MultiTrial<'_> {
         let draws: Vec<Vec<u32>> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .map(|&v| self.draw(state, rng, v))
             .collect();
         // Phase 2: adopt the first candidate no active neighbor drew.
         let adoptions: Vec<(NodeId, u32)> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .enumerate()
             .filter_map(|(i, &v)| {
                 let mine = &draws[i];
@@ -1075,7 +1116,7 @@ impl NormalProcedure for GenerateSlack<'_> {
         let adoptions: Vec<(NodeId, u32)> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .filter_map(|&v| {
                 if !self.sampled(rng, v) {
                     return None;
@@ -1234,25 +1275,17 @@ impl NormalProcedure for GenerateSlack<'_> {
             plane.adopted_mask[v as usize] =
                 plane.valid_mask[v as usize] & !plane.lane_mask[v as usize];
         }
-        lane_slack_fail_costs(
-            self.g,
-            state,
-            &self.set,
-            &mut plane,
-            lanes,
-            |i| self.targets[i] <= 0.0,
-            |i, _| self.targets[i],
-            costs,
-        );
+        let rule = SlackRule::Target(&self.targets);
+        lane_slack_fail_costs(self.g, state, &self.set, &mut plane, lanes, rule, costs);
         scratch.plane = plane;
     }
 
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
-        evaluate_ssp(
+        slack_failures(
             self.g,
             state,
             &self.set,
-            &SspMode::SlackTarget(self.targets.clone()),
+            SlackRule::Target(&self.targets),
             out,
         )
     }
@@ -1341,7 +1374,7 @@ impl NormalProcedure for SynchColorTrial<'_> {
         let mut proposal = vec![crate::instance::NO_COLOR; state.n()];
         let deals: Vec<Vec<(NodeId, u32)>> = self
             .cliques
-            .par_iter()
+            .iter()
             .map(|ct| {
                 let pal = state.palette(ct.leader);
                 if pal.is_empty() {
@@ -1378,7 +1411,7 @@ impl NormalProcedure for SynchColorTrial<'_> {
         let adoptions: Vec<(NodeId, u32)> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .filter_map(|&v| {
                 let c = proposal[v as usize];
                 if c == crate::instance::NO_COLOR || !state.palette(v).contains(&c) {
@@ -1654,7 +1687,7 @@ impl NormalProcedure for PutAside<'_> {
         let aux: Vec<NodeId> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .copied()
             .filter(|&v| {
                 let pv = self.prob_of(&probs, v);
@@ -1832,8 +1865,9 @@ impl NormalProcedure for PutAside<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::D1lcInstance;
-    use parcolor_local::tape::CryptoTape;
+    use crate::instance::{D1lcInstance, PaletteArena};
+    use parcolor_local::tape::{CryptoTape, SplitMix};
+    use proptest::prelude::*;
 
     fn ring(n: usize) -> Graph {
         let edges: Vec<_> = (0..n as NodeId)
@@ -2053,6 +2087,152 @@ mod tests {
         let out = proc.simulate(&state, &tape);
         assert_eq!(out.aux.len(), 0);
         assert_eq!(proc.ssp_failures(&state, &out).len(), 6);
+    }
+
+    /// A random list instance with a random independent set colored, and
+    /// a stage set holding most of the uncolored rest.  Palettes are
+    /// windows of one small color range, so neighbors share colors.
+    fn partially_colored(seed: u64) -> (Graph, ColoringState, StageSet) {
+        let mut rng = SplitMix::new(seed);
+        let n = 8 + rng.below(120) as usize;
+        let m = rng.below(5 * n as u64) as usize;
+        let mut edges = Vec::new();
+        for _ in 0..m {
+            let a = rng.below(n as u64) as NodeId;
+            let b = rng.below(n as u64) as NodeId;
+            if a != b {
+                edges.push((a, b));
+            }
+        }
+        let g = Graph::from_edges(n, &edges);
+        let lists: Vec<Vec<u32>> = (0..n as NodeId)
+            .map(|v| {
+                let first = rng.below(6) as u32;
+                let len = (g.degree(v) + 1 + rng.below(3) as usize) as u32;
+                (first..first + len).collect()
+            })
+            .collect();
+        let inst = D1lcInstance::new(g.clone(), PaletteArena::from_lists(&lists));
+        let mut state = ColoringState::new(&inst);
+        let mut taken = vec![false; n];
+        let mut adoptions = Vec::new();
+        for v in 0..n as NodeId {
+            if rng.below(3) == 0 && !g.neighbors(v).iter().any(|&u| taken[u as usize]) {
+                taken[v as usize] = true;
+                adoptions.push((v, state.palette(v)[0]));
+            }
+        }
+        state.apply_adoptions(&g, &adoptions);
+        let active: Vec<NodeId> = (0..n as NodeId)
+            .filter(|&v| !state.is_colored(v) && rng.below(4) != 0)
+            .collect();
+        (g, state, StageSet::new(n, active))
+    }
+
+    /// The unpruned slack SSP: `post_deg_slack` on every active node,
+    /// then the failure rule on the unadopted, non-exempt ones.
+    fn unpruned_failures(
+        g: &Graph,
+        state: &ColoringState,
+        set: &StageSet,
+        out: &Outcome,
+        exempt: impl Fn(usize) -> bool,
+        thresh: impl Fn(usize, usize) -> f64,
+    ) -> Vec<NodeId> {
+        let adopted = adoption_map(state.n(), out);
+        let mut fails = Vec::new();
+        for (i, &v) in set.active.iter().enumerate() {
+            let (deg, slack) = post_deg_slack(g, state, set, &adopted, v);
+            let unadopted = adopted[v as usize] == crate::instance::NO_COLOR;
+            if !exempt(i) && unadopted && (slack as f64) < thresh(i, deg) {
+                fails.push(v);
+            }
+        }
+        fails
+    }
+
+    /// `proc`'s pruned oracle (`ssp_failures`) and block costs against
+    /// [`unpruned_failures`], on every lane's outcome and on the outcome
+    /// with no adoptions.
+    fn assert_unpruned(
+        proc: &dyn NormalProcedure,
+        g: &Graph,
+        state: &ColoringState,
+        set: &StageSet,
+        seed: u64,
+        exempt: impl Fn(usize) -> bool + Copy,
+        thresh: impl Fn(usize, usize) -> f64 + Copy,
+    ) {
+        let tapes: Vec<CryptoTape> = (0..SEED_BLOCK as u64)
+            .map(|s| CryptoTape::new(seed.wrapping_add(s)))
+            .collect();
+        let refs: Vec<&dyn Randomness> = tapes.iter().map(|t| t as &dyn Randomness).collect();
+        let mut costs = [0.0; SEED_BLOCK];
+        proc.seed_cost_block(state, &refs, &mut SimScratch::new(g.n()), &mut costs);
+        for (s, tape) in refs.iter().enumerate() {
+            let out = proc.simulate(state, *tape);
+            let want = unpruned_failures(g, state, set, &out, exempt, thresh);
+            assert_eq!(costs[s], want.len() as f64, "{} lane {s}", proc.name());
+            assert_eq!(proc.ssp_failures(state, &out), want, "{}", proc.name());
+        }
+        let none = Outcome {
+            adoptions: Vec::new(),
+            aux: Vec::new(),
+        };
+        let want = unpruned_failures(g, state, set, &none, exempt, thresh);
+        assert_eq!(proc.ssp_failures(state, &none), want, "{}", proc.name());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // The slack floor skips only nodes that pass: the pruned
+        // `evaluate_ssp` and the block costs equal the unpruned reference
+        // for targets around each node's floor `p − d_set` (one below, at,
+        // half above), zero, negative and NaN, and for ratios 0, 0.5, 2
+        // and −1.
+        #[test]
+        fn slack_floor_matches_the_unpruned_reference(seed in any::<u64>()) {
+            let (g, state, set) = partially_colored(seed);
+            let targets: Vec<f64> = set
+                .active
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    let p = state.palette_size(v) as i64;
+                    let floor = (p - set_degree(&g, &set, v) as i64) as f64;
+                    [floor - 1.0, floor, floor + 0.5, 0.0, -3.0, f64::NAN][i % 6]
+                })
+                .collect();
+            // With no adoptions every non-exempt node reaches the floor
+            // check; both of its branches must be taken.
+            let rule = SlackRule::Target(&targets);
+            let (mut skipped, mut scanned) = (0, 0);
+            for (i, &v) in set.active.iter().enumerate() {
+                if !rule.exempt(i) {
+                    if rule.settled(i, state.palette_size(v), set_degree(&g, &set, v)) {
+                        skipped += 1;
+                    } else {
+                        scanned += 1;
+                    }
+                }
+            }
+            if set.active.len() >= 3 {
+                prop_assert!(skipped > 0 && scanned > 0, "{skipped} skipped, {scanned} scanned");
+            }
+            let exempt = |i: usize| targets[i] <= 0.0;
+            let target = |i: usize, _| targets[i];
+            let gs = GenerateSlack::new(&g, set.clone(), 0.5, targets.clone(), 7);
+            assert_unpruned(&gs, &g, &state, &set, seed, exempt, target);
+            let ssp = SspMode::SlackTarget(targets.clone());
+            let trc = TryRandomColor::new(&g, set.clone(), ssp, 5);
+            assert_unpruned(&trc, &g, &state, &set, seed, exempt, target);
+            for r in [0.0, 0.5, 2.0, -1.0] {
+                let trc = TryRandomColor::new(&g, set.clone(), SspMode::SlackRatio(r), 5);
+                let ratio = move |_, deg: usize| r * deg as f64;
+                assert_unpruned(&trc, &g, &state, &set, seed, |_| false, ratio);
+            }
+        }
     }
 
     #[test]

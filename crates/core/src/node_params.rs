@@ -7,8 +7,8 @@
 //! charges that cost through `parcolor-mpc`.
 
 use crate::instance::ColoringState;
-use parcolor_exec::{par_fill, par_fill_in, resolve_workers, Executor};
-use parcolor_local::graph::{sorted_intersection_size, Graph, NodeId};
+use parcolor_exec::{par_fill, par_fill_in, par_map_chunks, resolve_workers, Executor, ScatterMut};
+use parcolor_local::graph::{Graph, NodeId};
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
 
@@ -216,10 +216,85 @@ fn active_degrees(g: &Graph, active: ActiveMask, workers: usize) -> Vec<u32> {
     degree
 }
 
+/// The active subgraph of one stage as a CSR: row `v` is `N_act(v)`, the
+/// neighbors of `v` inside the active mask in ascending order, and is
+/// empty for a node outside the mask.  Node parameters and the ACD read
+/// it in place of filtering `N(v)` through the mask on every visit.
+///
+/// Space `O(n + Σ_v d_act(v))`: one offset per node plus the rows.
+/// `color_middle` builds it with the parameters and drops it right after
+/// the ACD.
+pub(crate) struct StageAdj {
+    /// `offsets[v]..offsets[v + 1]` is the span of row `v`.
+    offsets: Vec<usize>,
+    /// The rows, back to back.
+    targets: Vec<NodeId>,
+}
+
+impl StageAdj {
+    /// Build the CSR of `active` on `workers` pool workers.  `degree` is
+    /// the active degree of every node, so the offsets are its prefix sum
+    /// and the rows are filled in one pool pass over node chunks, each
+    /// chunk owning the disjoint span of its rows.
+    pub(crate) fn build(g: &Graph, active: ActiveMask, degree: &[u32], workers: usize) -> Self {
+        let mut offsets = Vec::with_capacity(degree.len() + 1);
+        let mut total = 0usize;
+        offsets.push(0);
+        for &d in degree {
+            total += d as usize;
+            offsets.push(total);
+        }
+        let mut targets = vec![0 as NodeId; total];
+        let scatter = ScatterMut::new(&mut targets);
+        let offsets_ref = &offsets;
+        par_map_chunks(
+            Executor::global(),
+            workers,
+            degree.len(),
+            PARAM_CHUNK,
+            |start, len| {
+                let lo = offsets_ref[start];
+                let hi = offsets_ref[start + len];
+                // SAFETY: `offsets` is a non-decreasing prefix sum ending at
+                // `targets.len()`, so the spans of disjoint node chunks are
+                // disjoint and in bounds, and nothing reads `targets`
+                // meanwhile.
+                let span = unsafe { scatter.stripe_mut(lo, hi - lo) };
+                let mut at = 0;
+                for v in start..start + len {
+                    if !active[v] {
+                        continue;
+                    }
+                    for &u in g.neighbors(v as NodeId) {
+                        if active[u as usize] {
+                            span[at] = u;
+                            at += 1;
+                        }
+                    }
+                }
+                assert_eq!(at, span.len(), "`degree` miscounts a row");
+            },
+        );
+        StageAdj { offsets, targets }
+    }
+
+    /// The CSR of the mask `table` was computed on, at the auto worker
+    /// count.
+    pub(crate) fn of_table(g: &Graph, active: ActiveMask, table: &ParamTable) -> Self {
+        Self::build(g, active, &table.degree, resolve_workers(0))
+    }
+
+    /// `N_act(v)`, ascending.
+    #[inline]
+    pub(crate) fn row(&self, v: NodeId) -> &[NodeId] {
+        &self.targets[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+}
+
 /// One worker's reusable buffers for the parameter pass.
 struct ParamScratch {
-    /// `v`'s active neighbors, ascending.
-    nv: Vec<NodeId>,
+    /// Bitset of `N_act(v)` over all node ids; all zero between nodes.
+    in_nv: Vec<u64>,
     /// `Ψ(v)`.
     pv: ColorTable,
 }
@@ -229,34 +304,47 @@ struct ParamScratch {
 /// are all taken in the residual graph induced by `active`.  Runs on the
 /// global pool at the auto worker count.
 ///
-/// Time `O(n + Σ_{v∈nodes} Σ_{u∈N_act(v)} (d(u) + d(v) + |Ψ(u)|))`, split
-/// over the workers; auxiliary space `O(n + workers · (Δ + max p(v)))`.
-/// Active degrees are counted once into the table; `m(N(v))` merges each
-/// sorted `N(u)` with the sorted active `N(v)`, and `|Ψ(u) \ Ψ(v)|`
-/// probes a tag-stamped open-addressed color set holding `Ψ(v)`.
-/// `discrepancy` and `unevenness` add their terms in `N(v)`'s ascending
-/// order, so every value is bit-identical to a sequential pass at every
-/// worker count.
+/// Time `O(n + Σ_{v active} d(v) + Σ_{v∈nodes} Σ_{u∈N_act(v)} (d_act(u) +
+/// |Ψ(u)|))`, split over the workers; auxiliary space
+/// `O(n + Σ_v d_act(v))` for the stage CSR ([`StageAdj`]) plus
+/// `O(workers · (n/64 + max p(v)))` of scratch.
+/// Active degrees are counted once into the table and their prefix sum
+/// lays out the CSR, whose rows one pool pass fills.  Per node `v`:
+///
+/// * a load pass first reads the head of every active neighbor's CSR row
+///   and palette, so those independent cache misses overlap instead of
+///   stalling the dependent loops below one at a time;
+/// * `m(N(v))` sets `N_act(v)` in a per-worker bitset (`n/8` bytes) and
+///   counts each neighbor's row against it branch-free, then clears it;
+/// * `|Ψ(u) \ Ψ(v)|` probes a tag-stamped open-addressed color set
+///   holding `Ψ(v)`.
+///
+/// `discrepancy` and `unevenness` add their terms in `N_act(v)`'s
+/// ascending order, so every value is bit-identical to a sequential pass
+/// at every worker count.  The CSR is dropped before this returns; the
+/// crate's ColorMiddle keeps it for the ACD instead.
 pub fn compute_params(
     g: &Graph,
     state: &ColoringState,
     nodes: &[NodeId],
     active: ActiveMask,
 ) -> ParamTable {
-    compute_params_on(g, state, nodes, active, 0)
+    compute_params_on(g, state, nodes, active, 0).0
 }
 
-/// [`compute_params`] on `workers` pool workers (`0` = auto).
+/// [`compute_params`] on `workers` pool workers (`0` = auto), also
+/// returning the stage CSR it was computed on.
 pub(crate) fn compute_params_on(
     g: &Graph,
     state: &ColoringState,
     nodes: &[NodeId],
     active: ActiveMask,
     workers: usize,
-) -> ParamTable {
+) -> (ParamTable, StageAdj) {
     let n = g.n();
     let workers = resolve_workers(workers).min(n.div_ceil(PARAM_CHUNK)).max(1);
     let degree = active_degrees(g, active, workers);
+    let adj = StageAdj::build(g, active, &degree, workers);
     let mut member = vec![false; n];
     for &v in nodes {
         member[v as usize] = true;
@@ -268,7 +356,7 @@ pub(crate) fn compute_params_on(
         .unwrap_or(0);
     let mut scratches: Vec<ParamScratch> = (0..workers)
         .map(|_| ParamScratch {
-            nv: Vec::new(),
+            in_nv: vec![0; n.div_ceil(64)],
             pv: ColorTable::with_capacity(max_p),
         })
         .collect();
@@ -282,34 +370,51 @@ pub(crate) fn compute_params_on(
             for (i, out) in stripe.iter_mut().enumerate() {
                 let v = (start + i) as NodeId;
                 if member[v as usize] {
-                    *out = node_params(g, state, active, &degree, v, scratch);
+                    *out = node_params(state, &adj, v, scratch);
                 }
             }
         },
     );
-    ParamTable { per_node, degree }
+    (ParamTable { per_node, degree }, adj)
 }
 
 /// Definition 2's parameters of one node `v ∈ nodes`.
 fn node_params(
-    g: &Graph,
     state: &ColoringState,
-    active: ActiveMask,
-    degree: &[u32],
+    adj: &StageAdj,
     v: NodeId,
     scratch: &mut ParamScratch,
 ) -> NodeParams {
-    let nv = &mut scratch.nv;
-    nv.clear();
-    nv.extend(g.neighbors(v).iter().filter(|&&u| active[u as usize]));
+    let nv = adj.row(v);
     let d = nv.len();
-    // m(N(v)) within the active subgraph: `nv` holds only active nodes,
-    // so intersecting with the raw N(u) counts active neighbors alone.
+    // Load pass: touch the first word of every neighbor's row and
+    // palette.  The reads are independent, so their misses overlap.
+    let mut heads = 0u32;
+    for &u in nv {
+        heads ^= adj.row(u).first().copied().unwrap_or(0);
+        heads ^= state.palette(u).first().copied().unwrap_or(0);
+    }
+    std::hint::black_box(heads);
+    // m(N(v)) within the active subgraph: every row holds active nodes
+    // only, so each neighbor's row counted against the bitset of `N_act(v)`
+    // is its number of neighbors inside N(v).
+    let in_nv = &mut scratch.in_nv;
+    for &u in nv {
+        in_nv[u as usize / 64] |= 1 << (u % 64);
+    }
     let m_nv: usize = nv
         .iter()
-        .map(|&u| sorted_intersection_size(g.neighbors(u), nv))
+        .map(|&u| {
+            adj.row(u)
+                .iter()
+                .map(|&w| (in_nv[w as usize / 64] >> (w % 64) & 1) as usize)
+                .sum::<usize>()
+        })
         .sum::<usize>()
         / 2;
+    for &u in nv {
+        in_nv[u as usize / 64] = 0;
+    }
     let sparsity = if d >= 2 {
         let pairs = (d * (d - 1) / 2) as f64;
         (pairs - m_nv as f64) / d as f64
@@ -324,13 +429,13 @@ fn node_params(
     }
     let mut discrepancy = 0.0;
     let mut unevenness = 0.0;
-    for &u in nv.iter() {
+    for &u in nv {
         let pu = state.palette(u);
         if !pu.is_empty() {
             let outside = pu.iter().filter(|&&c| !pv.contains(c)).count();
             discrepancy += outside as f64 / pu.len() as f64;
         }
-        let du = degree[u as usize] as usize;
+        let du = adj.row(u).len();
         unevenness += (du.saturating_sub(d)) as f64 / (du as f64 + 1.0);
     }
     NodeParams {
@@ -344,7 +449,7 @@ fn node_params(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::instance::{D1lcInstance, PaletteArena};
     use parcolor_local::graph::Graph;
@@ -425,13 +530,32 @@ mod tests {
         ]
     }
 
-    /// A random list instance, partially colored, with an active mask
-    /// over uncolored nodes and `nodes` a strict subset of it.  Colors
-    /// come from a small pool spread over `0..=u32::MAX − 1`, so palettes
-    /// overlap while color values stay sparse.
-    fn random_stage(seed: u64) -> (Graph, ColoringState, Vec<NodeId>, Vec<bool>) {
+    /// A stage: the graph, its coloring state, `nodes` and the mask.
+    pub(crate) type Stage = (Graph, ColoringState, Vec<NodeId>, Vec<bool>);
+
+    /// A random list instance on at most 71 nodes, partially colored, with
+    /// an active mask over uncolored nodes and `nodes` a strict subset of
+    /// it.  Colors come from a small pool spread over `0..=u32::MAX − 1`,
+    /// so palettes overlap while color values stay sparse.
+    pub(crate) fn random_stage(seed: u64) -> Stage {
         let mut rng = SplitMix::new(seed);
         let n = 2 + rng.below(70) as usize;
+        stage_on(rng, n, 0)
+    }
+
+    /// [`random_stage`] on 5000–8000 nodes, with node 0 a hub wired to
+    /// 100–300 spread-out nodes, uncolored and in `nodes`: the rows cross
+    /// many fill chunks and the hub's row spans many bitset words.
+    pub(crate) fn large_stage(seed: u64) -> Stage {
+        let mut rng = SplitMix::new(seed);
+        let n = 5000 + rng.below(3000) as usize;
+        let hub = 100 + rng.below(200) as usize;
+        stage_on(rng, n, hub)
+    }
+
+    /// The stage behind [`random_stage`] and [`large_stage`]; `hub > 0`
+    /// wires node 0 to `hub` distinct nodes and keeps it in the stage.
+    fn stage_on(mut rng: SplitMix, n: usize, hub: usize) -> Stage {
         let m = rng.below(4 * n as u64) as usize;
         let mut edges = Vec::new();
         for _ in 0..m {
@@ -441,7 +565,9 @@ mod tests {
                 edges.push((a, b));
             }
         }
+        edges.extend((0..hub).map(|j| (0, (1 + j * (n - 1) / hub) as NodeId)));
         let g = Graph::from_edges(n, &edges);
+        let is_hub = |v: NodeId| hub > 0 && v == 0;
         let mut pool: Vec<u32> = (0..12).map(|_| rng.below(u32::MAX as u64) as u32).collect();
         pool.push(u32::MAX - 1);
         pool.push(0);
@@ -463,17 +589,18 @@ mod tests {
         let mut taken = vec![false; n];
         let mut adoptions = Vec::new();
         for v in 0..n as NodeId {
-            if rng.below(4) == 0 && !g.neighbors(v).iter().any(|&u| taken[u as usize]) {
+            let free = !is_hub(v) && !g.neighbors(v).iter().any(|&u| taken[u as usize]);
+            if rng.below(4) == 0 && free {
                 taken[v as usize] = true;
                 adoptions.push((v, state.palette(v)[0]));
             }
         }
         state.apply_adoptions(&g, &adoptions);
         let active: Vec<bool> = (0..n as NodeId)
-            .map(|v| !state.is_colored(v) && rng.below(5) != 0)
+            .map(|v| !state.is_colored(v) && (rng.below(5) != 0 || is_hub(v)))
             .collect();
         let mut nodes: Vec<NodeId> = (0..n as NodeId)
-            .filter(|&v| active[v as usize] && rng.below(4) != 0)
+            .filter(|&v| active[v as usize] && (rng.below(4) != 0 || is_hub(v)))
             .collect();
         if nodes.len() == active.iter().filter(|&&a| a).count() {
             nodes.pop();
@@ -481,22 +608,46 @@ mod tests {
         (g, state, nodes, active)
     }
 
+    /// `compute_params_on` at `workers` against the oracle, bit for bit,
+    /// and its CSR rows and degrees against the filtered adjacency.
+    fn assert_matches_oracle(stage: &Stage, workers: usize) {
+        let (g, state, nodes, active) = stage;
+        let oracle = oracle_params(g, state, nodes, active);
+        let (t, adj) = compute_params_on(g, state, nodes, active, workers);
+        for v in 0..g.n() as NodeId {
+            assert_eq!(bits(t.get(v)), bits(&oracle[v as usize]), "node {v}");
+            let naive: Vec<NodeId> = if active[v as usize] {
+                let row = g.neighbors(v).iter().copied();
+                row.filter(|&u| active[u as usize]).collect()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(adj.row(v), &naive[..], "row {v}");
+            assert_eq!(t.degree(v), naive.len());
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
         fn pool_pass_matches_the_oracle_bit_for_bit(seed in any::<u64>(), workers in 1usize..5) {
-            let (g, state, nodes, active) = random_stage(seed);
-            let oracle = oracle_params(&g, &state, &nodes, &active);
-            let t = compute_params_on(&g, &state, &nodes, &active, workers);
-            for v in 0..g.n() as NodeId {
-                prop_assert_eq!(bits(t.get(v)), bits(&oracle[v as usize]));
-                let naive = if active[v as usize] {
-                    g.neighbors(v).iter().filter(|&&u| active[u as usize]).count()
-                } else {
-                    0
-                };
-                prop_assert_eq!(t.degree(v), naive);
+            assert_matches_oracle(&random_stage(seed), workers);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn large_stages_with_a_hub_match_the_oracle(seed in any::<u64>()) {
+            let stage = large_stage(seed);
+            let (g, _, nodes, active) = &stage;
+            prop_assert!(g.n() >= 5000 && nodes.contains(&0));
+            let hub_degree = g.neighbors(0).iter().filter(|&&u| active[u as usize]).count();
+            prop_assert!(hub_degree > 64, "hub degree {hub_degree}");
+            for workers in 1..=4 {
+                assert_matches_oracle(&stage, workers);
             }
         }
     }
