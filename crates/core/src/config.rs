@@ -13,10 +13,9 @@
 
 use parcolor_local::simd::SimdPath;
 use parcolor_prg::SeedStrategy;
-use serde::Serialize;
 
 /// How PRG output is split into per-node chunks (Lemma 10).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChunkMode {
     /// The paper's scheme: a proper coloring of `G^{4τ}` indexes chunks.
     /// Faithful, but the power graph has degree `Δ^{4τ}` — only used when
@@ -28,7 +27,7 @@ pub enum ChunkMode {
 }
 
 /// Full configuration for the D1LC solvers.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Params {
     // ---- MPC model ----
     /// Local-space exponent φ ∈ (0,1): machines hold `O(n^φ)` words.

@@ -77,7 +77,6 @@ use parcolor_mpc::{MpcConfig, NodeMpc};
 use parcolor_prg::{
     select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedSelection, SeedStrategy, SEED_BLOCK,
 };
-use serde::Serialize;
 
 /// Output of simulating one normal procedure (the `Out_v` of Definition 5,
 /// gathered for the whole graph).
@@ -472,7 +471,7 @@ pub trait NormalProcedure: Sync {
 }
 
 /// Per-step execution report.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct StepReport {
     /// Procedure name.
     pub name: &'static str,

@@ -19,10 +19,9 @@ use crate::hknt::vstart::identify_vstart;
 use crate::instance::ColoringState;
 use crate::node_params::compute_params_on;
 use parcolor_local::graph::NodeId;
-use serde::Serialize;
 
 /// Statistics of one `ColorMiddle` invocation.
-#[derive(Clone, Debug, Serialize, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MidReport {
     /// Nodes the stage started with.
     pub stage_size: usize,
@@ -221,20 +220,14 @@ pub fn color_middle(
             cliques: put_cliques,
             round_tag: 0x31,
         };
-        let rep = runner.run_step(&proc, state);
-        // Re-simulate bookkeeping: run_step applied no adoptions (PutAside
-        // has none); its aux (the put-aside set) is in the last report?
-        // The outcome is not retained by run_step, so recompute via the
-        // deferred mask: we instead read the aux from the report count.
-        let _ = rep;
+        runner.run_step(&proc, state);
+        // PutAside adopts nothing; its outcome is the put-aside set,
+        // which `run_step` leaves in `Runner::last_aux`.
+        for &v in runner.last_aux() {
+            put_aside_mask[v as usize] = true;
+        }
+        report.put_aside = runner.last_aux().len();
     }
-    // run_step does not hand back aux; recompute P deterministically by
-    // re-running the chosen step is wasteful — instead PutAside marks its
-    // set through `Runner::last_aux` (see framework).
-    for &v in runner.last_aux() {
-        put_aside_mask[v as usize] = true;
-    }
-    report.put_aside = runner.last_aux().len();
 
     // Step 4: SlackColor(outliers) — put-aside nodes excluded everywhere.
     let outliers: Vec<NodeId> = acd

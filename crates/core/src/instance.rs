@@ -359,9 +359,8 @@ impl ColoringState {
             workers_for(adoptions.len()),
             0..adoptions.len() as u64,
             APPLY_CHUNK as u64,
-            || (),
             || u64::MAX,
-            |start, len, acc: u64, _| {
+            |start, len, acc: u64| {
                 (start..start + len)
                     .find(|&i| clash(adoptions[i as usize]).is_some())
                     .map_or(acc, |i| acc.min(i))

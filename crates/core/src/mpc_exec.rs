@@ -7,8 +7,11 @@
 //! The main solver computes the same quantities in shared memory and
 //! *charges* the Lemma 17 costs (see `framework::Runner`); this module is
 //! the ground truth that the accounting layer is charging for a real
-//! algorithm.  The test suite cross-checks both paths value-for-value, and
-//! `tests/integration_mpc_costs.rs` compares their cost profiles.
+//! algorithm.  The tests below cross-check it: the parameters match the
+//! shared-memory computation value for value
+//! (`matches_shared_memory_computation`), and the round count stays the
+//! same as `n` grows eightfold (`round_count_independent_of_n`).  No test
+//! compares this module's cost profile with the charged one.
 //!
 //! Record shapes (one machine word ≈ one `u64` in the model):
 //! * degree: edge records `(u, v)`, sorted by `u`, group-counted;
@@ -23,7 +26,6 @@ use crate::instance::{ColoringState, D1lcInstance};
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_mpc::cluster::{Cluster, Dist};
 use parcolor_mpc::MpcConfig;
-use rayon::prelude::*;
 
 /// Definition 2 quantities produced by the materialized pipeline.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -140,13 +142,10 @@ pub fn compute_params_mpc(inst: &D1lcInstance, state: &ColoringState, phi: f64) 
     // machine of v then knows every edge incident to its neighborhood.
     cluster.metrics().begin_phase("two_hop");
     let triples: Vec<(NodeId, NodeId, NodeId)> = (0..n as NodeId)
-        .into_par_iter()
-        .flat_map_iter(|u| {
+        .flat_map(|u| {
             let nu = g.neighbors(u);
             nu.iter()
                 .flat_map(move |&v| nu.iter().map(move |&w| (v, u, w)))
-                .collect::<Vec<_>>()
-                .into_iter()
         })
         .collect();
     let d: Dist<(NodeId, NodeId, NodeId)> = cluster.distribute(triples, 3);

@@ -15,8 +15,6 @@
 use crate::instance::ColoringState;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_prg::hashing::{KWiseFamily, KWiseHash};
-use rayon::prelude::*;
-use serde::Serialize;
 
 /// Independence of the partition hashes.  CDP21d uses `O(log n)`-wise
 /// independence for Chernoff-type concentration of in-bin degrees; 8-wise
@@ -39,7 +37,7 @@ pub struct PartitionOutcome {
 }
 
 /// Diagnostics of one partition level (experiment E4's row).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PartitionStats {
     /// Node bins `B`.
     pub bins: usize,
@@ -168,7 +166,7 @@ fn violating_nodes(
     bins: usize,
 ) -> (Vec<NodeId>, usize) {
     let marks: Vec<(bool, bool)> = high
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, &v)| {
             let b = plane.high_bins[i];
@@ -288,9 +286,10 @@ pub fn low_space_partition(
     }
 
     // Diagnostic: realized degree-reduction ratio (off the chosen seed's
-    // plane — identical to re-evaluating h₁ per node and neighbor).
+    // plane — identical to re-evaluating h₁ per node and neighbor).  With
+    // d ≥ 1 no ratio is NaN, so the max does not depend on order.
     let worst_ratio = high
-        .par_iter()
+        .iter()
         .copied()
         .filter(|&v| !is_violator[v as usize])
         .map(|v| {
@@ -307,8 +306,7 @@ pub fn low_space_partition(
                 .count();
             d_in as f64 * bins as f64 / d as f64
         })
-        .fold(|| f64::NEG_INFINITY, f64::max)
-        .reduce(|| f64::NEG_INFINITY, f64::max);
+        .fold(f64::NEG_INFINITY, f64::max);
     // NEG_INFINITY identity so a genuine max survives the reduce even if
     // every ratio were negative (a 0.0 identity would clamp it); with no
     // participating nodes the max stays -inf, reported as 0.0.

@@ -22,7 +22,6 @@ use crate::instance::{ColoringState, D1lcInstance};
 use crate::lowdeg::color_low_degree;
 use crate::reduce::{low_space_partition, PartitionStats};
 use parcolor_local::graph::NodeId;
-use serde::Serialize;
 
 /// Execution mode of the solver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,7 +36,7 @@ pub enum SolveMode {
 }
 
 /// Critical-path cost bundle (rounds are the model's clock; space is max).
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Cost {
     /// LOCAL rounds on the critical path.
     pub local_rounds: u64,
@@ -72,7 +71,7 @@ impl Cost {
 }
 
 /// Aggregate statistics of a solve.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SolveStats {
     /// Depth of the degree-reduction recursion actually used.
     pub max_partition_depth: u32,

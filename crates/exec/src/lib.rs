@@ -5,9 +5,9 @@
 //! blocks off one shared atomic counter** and fold per-worker partials
 //! that a grouping-invariant merge combines into a deterministic result.
 //! This crate generalizes that scheduler so every data-parallel surface —
-//! seed search, the rayon-shim `fold().reduce()` terminals, node-striped
-//! round simulation — shares **one lazily-spawned persistent pool**
-//! instead of spawning scoped threads per call.
+//! seed search, node parameters, the edge sort of graph construction,
+//! node-striped round simulation — shares **one lazily-spawned
+//! persistent pool** instead of spawning scoped threads per call.
 //!
 //! ## The executor contract
 //!
@@ -490,62 +490,33 @@ where
     out
 }
 
-/// [`par_fold_in`] with per-worker scratches built by `make_scratch`
-/// (called once per participating worker, on that worker's thread).
-// Eight arguments mirror the rayon `fold(||id, op).reduce(||id, op)`
-// shape plus the scheduling knobs; a builder would only obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn par_fold<T, S, MS, I, E, R>(
+/// [`par_fold_in`] without scratch: `eval(start, len, acc)` folds one
+/// block into the worker's accumulator.
+pub fn par_fold<T, I, E, R>(
     pool: &Executor,
     workers: usize,
     range: Range<u64>,
     block: u64,
-    make_scratch: MS,
     identity: I,
     eval: E,
     merge: R,
 ) -> T
 where
     T: Send,
-    S: Send,
-    MS: Fn() -> S + Sync,
     I: Fn() -> T + Sync,
-    E: Fn(u64, u64, T, &mut S) -> T + Sync,
+    E: Fn(u64, u64, T) -> T + Sync,
     R: Fn(T, T) -> T + Sync,
 {
-    assert!(block > 0);
-    let len = range.end.saturating_sub(range.start);
-    if len == 0 {
-        return identity();
-    }
-    let nblocks = len.div_ceil(block);
-    let workers = workers
-        .clamp(1, MAX_WORKERS)
-        .min(nblocks.min(MAX_WORKERS as u64) as usize);
-    let next = AtomicU64::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-    let run = |w: usize| {
-        let mut scratch = make_scratch();
-        let mut acc = identity();
-        loop {
-            let b = next.fetch_add(1, Ordering::Relaxed);
-            if b >= nblocks {
-                break;
-            }
-            let start = range.start + b * block;
-            let blen = (range.end - start).min(block);
-            acc = eval(start, blen, acc, &mut scratch);
-        }
-        *slots[w].lock().unwrap() = Some(acc);
-    };
-    pool.run_on(workers, &run);
-    let mut out = identity();
-    for slot in &slots {
-        if let Some(part) = slot.lock().unwrap().take() {
-            out = merge(out, part);
-        }
-    }
-    out
+    let mut units = vec![(); workers.clamp(1, MAX_WORKERS)];
+    par_fold_in(
+        pool,
+        &mut units,
+        range,
+        block,
+        identity,
+        |start, len, acc, _| eval(start, len, acc),
+        merge,
+    )
 }
 
 /// Indexed chunk map: workers steal `chunk`-sized index chunks of
@@ -760,9 +731,8 @@ mod tests {
             workers,
             0..n,
             8,
-            || (),
             || SumMinArgmin::EMPTY,
-            |start, len, mut acc: SumMinArgmin, _: &mut ()| {
+            |start, len, mut acc: SumMinArgmin| {
                 for i in start..start + len {
                     acc.observe(i, ((i * 37 + 11) % 19) as f64);
                 }
@@ -810,9 +780,8 @@ mod tests {
             8,
             5..5,
             4,
-            || (),
             || 0u64,
-            |_, _, acc: u64, _: &mut ()| acc + 1,
+            |_, _, acc: u64| acc + 1,
             |a, b| a + b,
         );
         assert_eq!(x, 0);
@@ -901,18 +870,17 @@ mod tests {
         );
         assert_eq!(total, 10);
         assert_eq!(scratches, [Some(me), None, None, None]);
-        let made = AtomicUsize::new(0);
+        let folded_on = Mutex::new(Vec::new());
         par_fold(
             &pool,
             4,
             0..3,
             8,
-            || made.fetch_add(1, Ordering::Relaxed),
             || (),
-            |_, _, (), _: &mut usize| (),
+            |_, _, ()| folded_on.lock().unwrap().push(std::thread::current().id()),
             |(), ()| (),
         );
-        assert_eq!(made.load(Ordering::Relaxed), 1, "one scratch, one worker");
+        assert_eq!(*folded_on.lock().unwrap(), [me]);
         let mut scratches = vec![None; 4];
         let mut out = vec![0u32; 40];
         par_fill_in(&pool, &mut scratches, &mut out, 64, |_, stripe, seen| {

@@ -1,7 +1,7 @@
 //! A genuine synchronous message-passing executor for the LOCAL model.
 //!
 //! The coloring procedures in `parcolor-core` are written as whole-graph
-//! data-parallel passes (the natural rayon shape) that *account* their
+//! whole-graph passes (per-node work over disjoint slices) that *account* their
 //! LOCAL round cost.  This module provides the ground truth those passes
 //! are compared against: nodes hold private state, exchange messages with
 //! neighbors in synchronous rounds through real mailboxes, and cannot see
@@ -12,18 +12,17 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::tape::Randomness;
-use rayon::prelude::*;
 
 /// A node-level synchronous message-passing algorithm.
 ///
 /// Each round, every live node consumes its inbox, updates its private
 /// state, and emits messages to *neighbors only* (enforced by the
 /// executor — the LOCAL model has no other channels).
-pub trait MessageAlgorithm: Sync {
+pub trait MessageAlgorithm {
     /// Per-node private state.
-    type State: Clone + Send + Sync;
+    type State: Clone;
     /// Message payload.
-    type Msg: Clone + Send + Sync;
+    type Msg: Clone;
 
     /// Initial state of `v`.
     fn init(&self, v: NodeId) -> Self::State;
@@ -71,14 +70,17 @@ pub fn run_message_passing<A: MessageAlgorithm>(
     let mut rounds = 0u32;
     let mut messages = 0u64;
     for round in 0..max_rounds {
-        if states.par_iter().all(|s| algo.done(s)) {
+        if states.iter().all(|s| algo.done(s)) {
             break;
         }
         rounds = round + 1;
-        // Compute all outgoing messages in parallel (each node owns its
-        // state slot and reads only its own inbox).
+        // Compute all outgoing messages, one node at a time in id order
+        // (each node owns its state slot and reads only its own inbox).
+        // The order is load-bearing: `round` draws from `rng`, so the
+        // cross-check against the pass implementation needs the same
+        // sequence of draws on every run.
         let outgoing: Vec<Vec<(NodeId, A::Msg)>> = states
-            .par_iter_mut()
+            .iter_mut()
             .enumerate()
             .map(|(v, state)| {
                 let v = v as NodeId;

@@ -9,11 +9,10 @@
 //! Round charges: `sort_by_key` charges 3 rounds (sample gather, splitter
 //! broadcast, routed exchange), `prefix_sum` charges 2 (converge-cast,
 //! scatter), `exchange` and `broadcast` charge 1.  Local computation within
-//! a round is free in the model and executed with rayon here.
+//! a round is free in the model and executed here one machine at a time.
 
 use crate::config::MpcConfig;
 use crate::metrics::MpcMetrics;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// A dataset partitioned across machines.
@@ -94,7 +93,7 @@ impl Cluster {
     /// Load `items` onto the minimum number of machines, filling each to
     /// (at most) its word budget.  `words_per` is the width of one record
     /// in machine words.
-    pub fn distribute<T: Send>(&self, items: Vec<T>, words_per: usize) -> Dist<T> {
+    pub fn distribute<T>(&self, items: Vec<T>, words_per: usize) -> Dist<T> {
         assert!(words_per >= 1);
         let per = (self.capacity() / words_per).max(1);
         let mut parts: Vec<Vec<T>> = Vec::new();
@@ -113,15 +112,15 @@ impl Cluster {
 
     /// Per-machine transformation within a single round (free in the
     /// model; the closure sees the machine index and its buffer).
-    pub fn map_machines<T: Send, U: Send>(
+    pub fn map_machines<T, U>(
         &self,
         d: Dist<T>,
         words_per_out: usize,
-        f: impl Fn(usize, Vec<T>) -> Vec<U> + Sync,
+        f: impl Fn(usize, Vec<T>) -> Vec<U>,
     ) -> Dist<U> {
         let parts: Vec<Vec<U>> = d
             .parts
-            .into_par_iter()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| f(i, p))
             .collect();
@@ -132,17 +131,17 @@ impl Cluster {
 
     /// Route every record to the machine named by `route`; one round.
     /// Send and receive volumes are charged against the budget.
-    pub fn exchange<T: Send>(
+    pub fn exchange<T>(
         &self,
         d: Dist<T>,
         words_per: usize,
-        route: impl Fn(&T) -> usize + Sync,
+        route: impl Fn(&T) -> usize,
     ) -> Dist<T> {
         let p = d.machine_count();
         // Outboxes: machine i computes, for each destination, its records.
         let outboxes: Vec<Vec<(usize, T)>> = d
             .parts
-            .into_par_iter()
+            .into_iter()
             .map(|part| {
                 part.into_iter()
                     .map(|r| {
@@ -178,16 +177,12 @@ impl Cluster {
     /// on machine `i+1`, and each buffer is locally sorted.  Stable for
     /// equal keys only up to machine granularity — callers needing total
     /// determinism should use distinct keys (all call sites do).
-    pub fn sort_by_key<T, K>(
+    pub fn sort_by_key<T, K: Ord + Copy>(
         &self,
         d: Dist<T>,
         words_per: usize,
-        key: impl Fn(&T) -> K + Sync,
-    ) -> Dist<T>
-    where
-        T: Send,
-        K: Ord + Copy + Send + Sync,
-    {
+        key: impl Fn(&T) -> K,
+    ) -> Dist<T> {
         let p = d.machine_count();
         if p <= 1 {
             self.metrics.add_rounds(3);
@@ -237,15 +232,15 @@ impl Cluster {
     /// Exclusive prefix sum of `value` over the global record order;
     /// 2 rounds.  Returns the dataset with each record paired with the sum
     /// of all values strictly before it.
-    pub fn prefix_sum<T: Send + Sync>(
+    pub fn prefix_sum<T>(
         &self,
         d: Dist<T>,
         words_per: usize,
-        value: impl Fn(&T) -> u64 + Sync,
+        value: impl Fn(&T) -> u64,
     ) -> Dist<(T, u64)> {
         let local_sums: Vec<u64> = d
             .parts
-            .par_iter()
+            .iter()
             .map(|part| part.iter().map(&value).sum::<u64>())
             .collect();
         // Converge-cast local sums to coordinator, scatter offsets back.
@@ -259,7 +254,7 @@ impl Cluster {
         }
         let parts: Vec<Vec<(T, u64)>> = d
             .parts
-            .into_par_iter()
+            .into_iter()
             .zip(offsets)
             .map(|(part, mut off)| {
                 part.into_iter()
@@ -288,14 +283,14 @@ impl Cluster {
 
     /// Converge-cast an associative reduction of per-machine summaries;
     /// 1 round.
-    pub fn all_reduce<T: Send + Sync, A: Send>(
+    pub fn all_reduce<T, A>(
         &self,
         d: &Dist<T>,
-        summarize: impl Fn(&[T]) -> A + Sync,
+        summarize: impl Fn(&[T]) -> A,
         combine: impl Fn(A, A) -> A,
         identity: A,
     ) -> A {
-        let partials: Vec<A> = d.parts.par_iter().map(|p| summarize(p)).collect();
+        let partials: Vec<A> = d.parts.iter().map(|p| summarize(p)).collect();
         self.metrics.add_rounds(1);
         self.metrics.add_messages(partials.len() as u64);
         partials.into_iter().fold(identity, combine)

@@ -16,7 +16,7 @@
 //!   are implemented and tested against the model's `O(1)`-round budget.
 //! * [`graphops`] — the Lemma 17 layer: one (virtual) machine per node,
 //!   `d(v) ≤ √s` ops ("send `d(v)` words to each neighbor", "collect the
-//!   2-hop neighborhood").  Work is executed data-parallel with rayon while
+//!   2-hop neighborhood").  The caller carries out the work while
 //!   the accountant charges the rounds and words the op would use and
 //!   records violations of the `s` budget.
 //! * [`metrics`] — round/space/message accounting shared by both layers.

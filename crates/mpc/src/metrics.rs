@@ -7,7 +7,6 @@
 //! on hot paths, atomics with explicit orderings where contention is
 //! possible.
 
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -19,7 +18,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One phase's snapshot in the metrics log.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PhaseMetrics {
     /// Phase label.
     pub label: String,
@@ -44,8 +43,8 @@ pub struct MpcMetrics {
     phase_peak: AtomicU64,
 }
 
-/// Serializable snapshot of [`MpcMetrics`].
-#[derive(Clone, Debug, Serialize)]
+/// Plain-data snapshot of [`MpcMetrics`].
+#[derive(Clone, Debug)]
 pub struct MetricsSnapshot {
     /// Total rounds charged.
     pub rounds: u64,
@@ -140,7 +139,7 @@ impl MpcMetrics {
         self.budget_violations.load(Ordering::Relaxed)
     }
 
-    /// Serializable snapshot (closes any open phase).
+    /// Plain-data snapshot (closes any open phase).
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.end_phase();
         MetricsSnapshot {
@@ -207,11 +206,20 @@ mod tests {
 
     #[test]
     fn concurrent_observation_is_safe() {
-        use rayon::prelude::*;
+        const THREADS: u64 = 4;
         let m = MpcMetrics::new();
-        (0..1000u64).into_par_iter().for_each(|i| {
-            m.observe_machine(i, 500);
-            m.add_messages(1);
+        // Four threads race on the atomic max and the counters, each
+        // observing the disjoint index stripe i ≡ t (mod 4) of 0..1000.
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let m = &m;
+                s.spawn(move || {
+                    for i in (t..1000).step_by(THREADS as usize) {
+                        m.observe_machine(i, 500);
+                        m.add_messages(1);
+                    }
+                });
+            }
         });
         assert_eq!(m.max_machine_words(), 999);
         assert_eq!(m.snapshot().messages, 1000);

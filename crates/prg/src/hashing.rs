@@ -21,7 +21,6 @@
 //! detail; stripes of any length, including empty, are valid.
 
 use parcolor_local::tape::{splitmix64, MIX_LANES};
-use rayon::prelude::*;
 
 /// The Mersenne prime `2^61 - 1`.
 pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
@@ -131,9 +130,8 @@ impl KWiseHash {
         // k = 1, 1.32× at k = 2, rising to 1.58× at k = 8 — because the
         // staged `% p` / reduction steps vectorize even when the Horner
         // chain itself is one multiply-add.  (The previous `degree ≤ 1`
-        // shortcut was exactly the k = 2 regression
-        // `BENCH_hash_batch.json` recorded.)  Stripes shorter than one
-        // lane still run the scalar tail below.
+        // shortcut lost at k = 2 for the same reason.)  Stripes shorter
+        // than one lane still run the scalar tail below.
         let mut xs_it = xs.chunks_exact(MIX_LANES);
         let mut out_it = out.chunks_exact_mut(MIX_LANES);
         for (xch, och) in (&mut xs_it).zip(&mut out_it) {
@@ -186,15 +184,16 @@ impl PairwiseHash {
 /// Chi-square statistic of a hash member's bucket distribution over the
 /// keys `0..nkeys` — used by tests and the E4 diagnostics to confirm the
 /// family spreads loads as pairwise independence predicts.
+///
+/// One pass: each key is evaluated once into a `range`-sized histogram;
+/// values `≥ range` fall in no bucket.  `O(nkeys + range)`.
 pub fn bucket_chi_square(h: &KWiseHash, nkeys: u64, range: u64) -> f64 {
-    let counts: Vec<u64> = (0..range)
-        .map(|b| {
-            (0..nkeys)
-                .into_par_iter()
-                .filter(|&x| h.eval(x) == b)
-                .count() as u64
-        })
-        .collect();
+    let mut counts = vec![0u64; range as usize];
+    for x in 0..nkeys {
+        if let Some(c) = counts.get_mut(h.eval(x) as usize) {
+            *c += 1;
+        }
+    }
     let expected = nkeys as f64 / range as f64;
     counts
         .iter()
@@ -288,6 +287,38 @@ mod tests {
         let chi = bucket_chi_square(&h, 8000, 8);
         // dof = 7; chi-square should be far below catastrophic values.
         assert!(chi < 60.0, "chi={chi}");
+    }
+
+    /// The one-pass histogram must give the naive per-bucket count's
+    /// statistic bit for bit, also when the member's range is wider
+    /// (keys outside `range` dropped) or narrower than `range`.
+    #[test]
+    fn chi_square_matches_per_bucket_oracle() {
+        fn oracle(h: &KWiseHash, nkeys: u64, range: u64) -> f64 {
+            let expected = nkeys as f64 / range as f64;
+            (0..range)
+                .map(|b| {
+                    let c = (0..nkeys).filter(|&x| h.eval(x) == b).count();
+                    let d = c as f64 - expected;
+                    d * d / expected
+                })
+                .sum()
+        }
+        for (k, hrange, range) in [(2, 8, 8), (2, 16, 10), (3, 5, 9), (1, 7, 7), (4, 64, 64)] {
+            let fam = KWiseFamily::new(k, hrange);
+            for seed in [0u64, 3, 0xDEAD_BEEF] {
+                let h = fam.member(seed);
+                for nkeys in [0u64, 1, 777] {
+                    let fast = bucket_chi_square(&h, nkeys, range);
+                    let slow = oracle(&h, nkeys, range);
+                    assert_eq!(
+                        fast.to_bits(),
+                        slow.to_bits(),
+                        "k={k} hrange={hrange} range={range} seed={seed} nkeys={nkeys}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

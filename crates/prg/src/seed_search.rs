@@ -46,7 +46,6 @@
 //!   [`RangeFolder`]; the distributed coordinator plugs its fleet in here.
 
 use parcolor_exec::{Executor, SumMinArgmin};
-use serde::Serialize;
 
 /// Width of one seed block: [`select_seed_blocks_n`] hands its evaluator up
 /// to this many **contiguous** seeds at a time, so cost functions can
@@ -59,7 +58,7 @@ pub const SEED_BLOCK: usize = 8;
 const _: () = assert!(SEED_BLOCK <= u8::BITS as usize, "lane masks are u8");
 
 /// Strategy for choosing a PRG seed deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SeedStrategy {
     /// Evaluate all `2^seed_bits` seeds, pick the argmin (ties → lowest).
     Exhaustive,
@@ -72,7 +71,7 @@ pub enum SeedStrategy {
 }
 
 /// Result of a seed search.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SeedSelection {
     /// The chosen seed.
     pub seed: u64,
